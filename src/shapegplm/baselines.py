@@ -16,8 +16,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError, NonConvergenceError
 from .geometry import PreShape, procrustes_mean, tangent_coordinates
-from .models import FitConfig
-from .selection import CvReport, SubjectPrediction
+from .selection import CvReport, run_folds
 
 __all__ = ["TangentPcaModel", "tangent_pca", "fit_cumulative_logit",
            "predict_cumulative_logit", "baseline_loocv"]
@@ -222,70 +221,33 @@ def predict_cumulative_logit(alpha, beta, x_new) -> NDArray[np.floating]:
     return np.diff(gam)
 
 
-def baseline_loocv(bundle, var_threshold: float = 0.98,
-                   cfg: FitConfig | None = None) -> CvReport:
+def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
     """Leave-one-subject-out accuracy of the tangent-PCA baseline.
 
     Per fold the pole, PCA basis, and retained count are recomputed on the
     training shapes alone; the held-out shapes are projected into that
     training chart. Fixed covariates precede the PCA scores in the design.
+    Folds whose fit does not converge (as under separation) are skipped.
     """
-    n = len(bundle.samples)
-    if n < 3:
-        raise InvalidArgumentError("cross-validation needs at least 3 rows")
     y_raw = np.asarray(bundle.y, dtype=int)
     x = bundle.x
     shapes = bundle.shapes
-    subjects = np.asarray(bundle.subjects)
     classes = sorted(np.unique(y_raw).tolist())
     # the fitter wants categories 1..K; map arbitrary ordered labels onto them
     label_of = {c: k + 1 for k, c in enumerate(classes)}
     y = np.array([label_of[v] for v in y_raw])
 
-    order = []
-    seen = set()
-    for s in subjects:
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-
-    predictions: list[SubjectPrediction] = []
-    skipped: list[str] = []
-    for subject in order:
-        held = np.flatnonzero(subjects == subject)
-        train = np.flatnonzero(subjects != subject)
-        y_tr = y[train]
-        if any(not np.any(y_tr == c) for c in classes):
-            skipped.append(str(subject))
-            continue
+    def fit_fold(held, train):
         model, scores = tangent_pca([shapes[i] for i in train], var_threshold)
-        design = np.hstack([x[train], scores])
         try:
-            alpha, beta = fit_cumulative_logit(y_tr, design)
+            alpha, beta = fit_cumulative_logit(y[train], np.hstack([x[train], scores]))
         except NonConvergenceError:
-            skipped.append(str(subject))
-            continue
+            return None
+        out = []
         for i in held:
             z = model.project(shapes[i])
             probs = predict_cumulative_logit(alpha, beta, np.concatenate([x[i], z]))
-            pred = classes[int(np.argmax(probs))]
-            predictions.append(SubjectPrediction(
-                bandwidth=0.0, row_id=str(bundle.ids[i]),
-                subject=str(subject), true_label=int(y_raw[i]), predicted=int(pred),
-                probs=tuple(float(p) for p in probs)))
+            out.append((i, classes[int(np.argmax(probs))], probs))
+        return out
 
-    if not predictions:
-        raise InvalidArgumentError("every baseline fold was skipped")
-
-    n_eval = len(predictions)
-    n_corr = sum(p.predicted == p.true_label for p in predictions)
-    conf = np.zeros((len(classes), len(classes)), dtype=int)
-    index = {c: i for i, c in enumerate(classes)}
-    for p in predictions:
-        conf[index[p.true_label], index[p.predicted]] += 1
-    key = 0.0  # sentinel: the baseline has no bandwidth
-    return CvReport(model="baseline", bandwidths=[key],
-                    accuracy={key: 100.0 * n_corr / n_eval},
-                    n_evaluated={key: n_eval}, n_correct={key: n_corr},
-                    predictions=predictions, confusion={key: conf},
-                    skipped_folds={key: skipped})
+    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_fold)

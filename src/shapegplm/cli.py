@@ -68,28 +68,27 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk distance cache")
 
+    def solver(p):
+        p.add_argument("--threshold", type=float, default=2e-4)
+        p.add_argument("--max-iter", type=int, default=1000)
+        p.add_argument("--ridge", type=float, default=1e-8)
+        p.add_argument("--irls-variant", choices=["paper", "standard"],
+                       default="paper")
+
     p_fit = sub.add_parser("fit", help="fit one model at one bandwidth")
     common(p_fit)
     p_fit.add_argument("--model", required=True,
                        choices=["plm", "logistic", "ordinal"])
     p_fit.add_argument("--h", required=True, type=parse_bandwidth,
                        metavar="RADIANS", help="bandwidth, e.g. 0.0314 or pi/100")
-    p_fit.add_argument("--threshold", type=float, default=2e-4)
-    p_fit.add_argument("--max-iter", type=int, default=1000)
-    p_fit.add_argument("--ridge", type=float, default=1e-8)
-    p_fit.add_argument("--irls-variant", choices=["paper", "standard"],
-                       default="paper")
+    solver(p_fit)
 
     p_cv = sub.add_parser("cv", help="leave-one-subject-out CV over a grid")
     common(p_cv)
     p_cv.add_argument("--model", required=True, choices=["logistic", "ordinal"])
     p_cv.add_argument("--grid", required=True, type=parse_grid,
                       metavar="H1,H2,...", help="comma-separated bandwidths")
-    p_cv.add_argument("--threshold", type=float, default=2e-4)
-    p_cv.add_argument("--max-iter", type=int, default=1000)
-    p_cv.add_argument("--ridge", type=float, default=1e-8)
-    p_cv.add_argument("--irls-variant", choices=["paper", "standard"],
-                      default="paper")
+    solver(p_cv)
 
     p_pred = sub.add_parser("predict", help="predict new rows from a saved fit")
     p_pred.add_argument("--fit", required=True, help="model state JSON from `fit`")
@@ -165,21 +164,18 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    state = dio.load_model_state(args.fit)
+    fit, state = dio.load_model_state(args.fit)
+    if fit.model not in ("logistic", "ordinal"):
+        print(f"shapegplm predict: {args.fit} holds a {fit.model} fit; "
+              "prediction is defined for logistic and ordinal fits",
+              file=sys.stderr)
+        return USAGE_EXIT
     train = dio.ingest(state["manifest"], use_disk_cache=not args.no_cache)
     if train.content_hash != state["dataset_hash"]:
         raise ShapeGplmError(
             "training manifest content changed since the fit was written")
     query = dio.ingest(args.input, use_disk_cache=not args.no_cache)
-    spec = KernelSpec(bandwidth=float(state["bandwidth"]))
-    beta = np.asarray(state["beta"], dtype=float)
-    z_final = np.asarray(state["z_final"], dtype=float)
-    from .models import GplmFit  # local import to assemble a minimal fit view
-    fit = GplmFit(model=state["model"], beta=beta,
-                  phi0=np.zeros_like(z_final), phi=np.zeros((len(train.ids), len(beta))),
-                  g=np.zeros_like(z_final), z_final=z_final,
-                  iterations=int(state["iterations"]), converged=True,
-                  status=str(state["status"]), bandwidth=float(state["bandwidth"]))
+    spec = KernelSpec(bandwidth=fit.bandwidth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["id,prediction,probs"]
@@ -188,13 +184,11 @@ def _cmd_predict(args) -> int:
             p = predict_logistic(fit, query.x[i], query.shapes[i],
                                  train.shapes, train.x, spec, train.backend)
             lines.append(f"{rid},{1 if p > 0.5 else 0},{p:.8f}")
-        elif fit.model == "ordinal":
+        else:
             pred = predict_ordinal(fit, query.x[i], query.shapes[i],
                                    train.shapes, train.x, spec, train.backend)
             probs = " ".join(format(v, ".8f") for v in pred.probs)
             lines.append(f"{rid},{pred.category},{probs}")
-        else:
-            raise ShapeGplmError("prediction is defined for logistic/ordinal fits")
     path = out / "predictions.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")

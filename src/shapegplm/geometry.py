@@ -30,8 +30,6 @@ __all__ = [
     "centroid_size",
     "preshape",
     "procrustes_distance",
-    "optimal_rotation",
-    "align",
     "density_exponent",
     "log_volume_density",
     "log_density_from_distance",
@@ -170,10 +168,6 @@ def _align_and_sum(z1: NDArray, z2: NDArray):
     return s, rotation
 
 
-def _signed_singular_sum(a: NDArray, b: NDArray) -> float:
-    return _align_and_sum(a, b)[0]
-
-
 def _check_same_shape(a: PreShape, b: PreShape):
     if a.z.shape != b.z.shape:
         raise InvalidArgumentError(
@@ -220,20 +214,6 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     """
     _check_same_shape(a, b)
     return _distance_pair(a.z, b.z)
-
-
-def optimal_rotation(a: PreShape, b: PreShape) -> NDArray[np.floating]:
-    """Rotation ``R`` in SO(m) minimising ``||a - b R||`` over rotations.
-
-    Reflections are never allowed: the SVD solution is determinant-corrected.
-    """
-    _check_same_shape(a, b)
-    return _align_and_sum(a.z, b.z)[1]
-
-
-def align(a: PreShape, b: PreShape) -> NDArray[np.floating]:
-    """Return ``b`` rotated to lie closest to ``a`` on the preshape sphere."""
-    return b.z @ optimal_rotation(a, b)
 
 
 def density_exponent(k: int, m: int) -> int:

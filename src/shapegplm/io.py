@@ -10,7 +10,9 @@ overrides the inferred response kind.
 
 The pairwise distance and log-density matrices are cached on disk as a
 ``.npz`` file keyed by a content hash of the preshapes, so unchanged data is
-never re-measured, and invalidation follows content, never timestamps.
+never re-measured, and invalidation follows content, never timestamps. The
+file is written through a temporary file and renamed into place; one that
+cannot be read back counts as a miss and is rebuilt.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+import uuid
+import zipfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import KendallShapeBackend, ShapeSample, preshape
+from .models import GplmFit
 from .smoothing import SmootherCache
 
 __all__ = ["read_landmarks", "write_landmarks", "DatasetManifest",
@@ -181,6 +187,20 @@ def _content_hash(samples: list[ShapeSample], ids: list[str],
     return digest.hexdigest()
 
 
+def _write_atomically(path: Path, **arrays) -> None:
+    """``np.savez`` to ``path`` through a temporary file in the same
+    directory, so a reader never sees a partly written cache."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def ingest(manifest_path, use_disk_cache: bool = True,
            cache_dir=None) -> DatasetBundle:
     """Load a manifest into a :class:`DatasetBundle`.
@@ -214,18 +234,20 @@ def ingest(manifest_path, use_disk_cache: bool = True,
         cdir = Path(cache_dir) if cache_dir else Path(manifest_path).parent / ".shapegplm-cache"
         cache_file = cdir / f"distances-{content[:16]}.npz"
         if cache_file.exists():
-            with np.load(cache_file) as stored:
-                if ("content_hash" in stored
-                        and str(stored["content_hash"]) == content):
-                    cache = SmootherCache(dist=stored["dist"],
-                                          logdens=stored["logdens"])
+            try:
+                with np.load(cache_file) as stored:
+                    if ("content_hash" in stored
+                            and str(stored["content_hash"]) == content):
+                        cache = SmootherCache(dist=stored["dist"],
+                                              logdens=stored["logdens"])
+            except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+                cache = None  # truncated or corrupt: rebuild and overwrite
     if cache is None:
         cache = SmootherCache.from_points([s.preshape for s in samples], backend,
                                           count_label=content)
         if use_disk_cache and cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            np.savez(cache_file, dist=cache.dist, logdens=cache.logdens,
-                     content_hash=np.asarray(content))
+            _write_atomically(cache_file, dist=cache.dist, logdens=cache.logdens,
+                              content_hash=np.asarray(content))
 
     x = np.array([r.covariates for r in manifest.records], dtype=float)
     if x.size == 0:
@@ -282,24 +304,31 @@ def write_fit_report(path, fit, bundle, run_config: RunConfig) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_FIT_ARRAYS = ("beta", "phi0", "phi", "g", "z_final")
+
+
 def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
-    """Machine-readable companion of the fit report, sufficient to predict."""
-    state = {
-        "model": fit.model,
-        "beta": fit.beta.tolist(),
-        "z_final": fit.z_final.tolist(),
-        "bandwidth": fit.bandwidth,
-        "status": fit.status,
-        "iterations": fit.iterations,
-        "dataset_hash": bundle.content_hash,
-        "manifest": str(run_config.manifest),
-        "irls_variant": run_config.irls_variant,
-    }
+    """Machine-readable companion of the fit report: every field of the fit,
+    which :func:`load_model_state` turns back into the same fit, plus the
+    dataset hash and manifest that ``predict`` checks and reads."""
+    state = {f.name: getattr(fit, f.name) for f in fields(fit)}
+    state.update({name: state[name].tolist() for name in _FIT_ARRAYS})
+    state.update(dataset_hash=bundle.content_hash,
+                 manifest=str(run_config.manifest),
+                 irls_variant=run_config.irls_variant)
     Path(path).write_text(json.dumps(state, indent=2) + "\n")
 
 
-def load_model_state(path) -> dict:
-    return json.loads(Path(path).read_text())
+def load_model_state(path) -> tuple[GplmFit, dict]:
+    """The fit stored by :func:`write_model_state`, and the whole record."""
+    state = json.loads(Path(path).read_text())
+    try:
+        values = {f.name: state[f.name] for f in fields(GplmFit)}
+    except KeyError as exc:
+        raise InvalidArgumentError(
+            f"fit state {path} has no {exc} entry; write it again with `fit`") from exc
+    values.update({name: np.asarray(values[name], dtype=float) for name in _FIT_ARRAYS})
+    return GplmFit(**values), state
 
 
 def write_cv_csv(path, detail_path, report, run_config: RunConfig,

@@ -6,11 +6,14 @@ estimated by kernel smoothing, and the two parts are untangled by regressing
 smoother residuals on smoother residuals.
 
 * Gaussian: one least-squares solve.
-* Logistic: iteratively reweighted least squares on a working response, the
-  smoother applied unweighted to the working targets, the weights entering
-  only the slope solve.
-* Ordinal (three ordered categories): the cumulative-logit analogue with
-  2x2 per-subject weight matrices.
+* Logistic and ordinal (three ordered categories, two cumulative logits):
+  one iteratively reweighted least-squares loop, :func:`_irls`. Each sweep
+  forms the linear predictor and fitted probabilities from the current state,
+  takes the working response and its weights from the family's working step,
+  smooths the working response unweighted to refresh the nonparametric part,
+  and solves the family's weighted normal equations for the slope. Only the
+  working step differs: weights ``p(1-p)`` for the logistic family, 2x2
+  per-subject weight matrices for the ordinal one.
 
 Perfectly separable data deserve a note: the logistic and ordinal likelihoods
 then have no finite maximiser and the slope iterates grow without bound. The
@@ -102,10 +105,7 @@ class GplmFit:
 
     def fitted_eta(self, x) -> NDArray[np.floating]:
         """In-sample linear predictors, one column per logit."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        return (x @ self.beta)[:, None] + self.g
+        return (_as_design(x, len(self.g)) @ self.beta)[:, None] + self.g
 
 
 def _as_design(x, n: int) -> NDArray[np.floating]:
@@ -117,6 +117,17 @@ def _as_design(x, n: int) -> NDArray[np.floating]:
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("design contains non-finite values")
     return x
+
+
+def _check_inputs(y, x, n: int, dtype=float):
+    """Response of length ``n`` and an ``n x p`` design with ``n > p``."""
+    y = np.asarray(y, dtype=dtype)
+    if y.shape != (n,):
+        raise InvalidArgumentError(f"response must have length {n}, got {y.shape}")
+    x = _as_design(x, n)
+    if n <= x.shape[1]:
+        raise InvalidArgumentError("need more observations than covariates")
+    return y, x
 
 
 def _solve(A: NDArray, b: NDArray, ridge: float) -> NDArray[np.floating]:
@@ -160,13 +171,7 @@ def fit_plm(y, x, shapes, spec: KernelSpec, backend,
     recovered as ``phi0 - phi @ beta``.
     """
     cfg = cfg or FitConfig()
-    y = np.asarray(y, dtype=float)
-    n = len(shapes)
-    if y.shape != (n,):
-        raise InvalidArgumentError(f"response must have length {n}, got {y.shape}")
-    x = _as_design(x, n)
-    if n <= x.shape[1]:
-        raise InvalidArgumentError("need more observations than covariates")
+    y, x = _check_inputs(y, x, len(shapes))
     if cache is None:
         cache = SmootherCache.from_points(shapes, backend)
     spec.check_against(backend)
@@ -188,6 +193,60 @@ def _binary_deviance_mean(y: NDArray, eta: NDArray) -> float:
     return float(np.mean(_softplus(-sign * eta)))
 
 
+def _irls(model: str, step, normal, phi0, x, shapes, spec: KernelSpec,
+          backend, cfg: FitConfig, cache: SmootherCache | None) -> GplmFit:
+    """The sweep shared by the logistic and ordinal fits.
+
+    ``phi0`` is the ``n x L`` starting smooth, one column per logit.
+    ``step(eta, prob)`` takes the linear predictor and the fitted
+    probabilities ``expit(eta)`` and returns the mean deviance, the ``n x L``
+    working response and its weights; ``normal(xc, weights, r)`` returns the
+    weighted normal equations ``(A, b)`` of the slope from the smoother
+    residuals ``xc`` of the design and ``r`` of the working response. Stops on
+    a relative slope change below ``cfg.threshold``, on the separation plateau
+    (a saturated probability or a mean deviance below
+    ``cfg.separation_deviance``), or at ``cfg.max_iter``.
+    """
+    if cache is None:
+        cache = SmootherCache.from_points(shapes, backend)
+    spec.check_against(backend)
+    w_smooth = normalised_weight_matrix(cache, spec)
+    beta = np.zeros(x.shape[1])
+    phi = apply_weights(w_smooth, x)
+    xc = x - phi
+    e_trace: list[float] = []
+    status, iterations = "max_iter", 0
+
+    for it in range(1, cfg.max_iter + 1):
+        eta = (x @ beta)[:, None] + (phi0 - (phi @ beta)[:, None])
+        prob = _expit(eta)
+        saturated = bool(np.any(prob == 0.0) or np.any(prob == 1.0))
+        deviance, z_new, weights = step(eta, prob)
+        if it > 1 and (saturated or deviance < cfg.separation_deviance):
+            status = "separation"
+            break
+        z = z_new  # a separated fit keeps the previous sweep's targets
+        phi0 = apply_weights(w_smooth, z)
+        beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
+        e = float(np.linalg.norm(beta_new - beta)
+                  / max(np.linalg.norm(beta_new), 1e-300))
+        e_trace.append(e)
+        beta = beta_new
+        iterations = it
+        if np.linalg.norm(beta) > cfg.divergence_norm:
+            raise DivergenceError(
+                f"slope norm exceeded {cfg.divergence_norm:g} at iteration {it}")
+        if e < cfg.threshold:
+            status = "converged"
+            break
+
+    g = phi0 - (phi @ beta)[:, None]
+    return GplmFit(model=model, beta=beta, phi0=phi0, phi=phi, g=g,
+                   z_final=z, iterations=iterations,
+                   converged=(status == "converged"), status=status,
+                   bandwidth=spec.bandwidth, e_trace=e_trace)
+
+
 def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
                      cfg: FitConfig | None = None,
                      cache: SmootherCache | None = None) -> GplmFit:
@@ -201,70 +260,45 @@ def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
     ``cfg.threshold``, on the separation plateau, or at ``cfg.max_iter``.
     """
     cfg = cfg or FitConfig()
-    y = np.asarray(y, dtype=float)
-    n = len(shapes)
-    if y.shape != (n,):
-        raise InvalidArgumentError(f"response must have length {n}, got {y.shape}")
+    y, x = _check_inputs(y, x, len(shapes))
     uniq = np.unique(y)
     if not np.all(np.isin(uniq, (0.0, 1.0))):
         raise InvalidArgumentError(f"logistic response must be 0/1, got values {uniq}")
     if len(uniq) < 2:
         raise InvalidArgumentError("both response classes must be present")
-    x = _as_design(x, n)
-    p_dim = x.shape[1]
-    if n <= p_dim:
-        raise InvalidArgumentError("need more observations than covariates")
-    if cache is None:
-        cache = SmootherCache.from_points(shapes, backend)
-
     eps = cfg.prob_floor
-    spec.check_against(backend)
-    w_smooth = normalised_weight_matrix(cache, spec)
-    beta = np.zeros(p_dim)
-    phi0 = np.full(n, -0.5)
-    phi = apply_weights(w_smooth, x)
-    xc = x - phi
-    z = np.zeros(n)
-    e_trace: list[float] = []
-    status, iterations = "max_iter", 0
+    y_col = y[:, None]
 
-    for it in range(1, cfg.max_iter + 1):
-        g = phi0 - phi @ beta
-        eta = x @ beta + g
-        pr = _expit(eta)
-        saturated = bool(np.any(pr == 0.0) or np.any(pr == 1.0))
-        if it > 1 and (saturated
-                       or _binary_deviance_mean(y, eta) < cfg.separation_deviance):
-            status = "separation"
-            break
+    def step(eta, pr):
         pc = np.clip(pr, eps, 1.0 - eps)
-        z = eta + (y - pc) / (pc * (1.0 - pc))
         w = pc * (1.0 - pc)
-        phi0 = apply_weights(w_smooth, z)
-        beta_new = _solve(xc.T @ (w[:, None] * xc), xc.T @ (w * (z - phi0)),
-                          cfg.ridge)
-        e = float(np.linalg.norm(beta_new - beta)
-                  / max(np.linalg.norm(beta_new), 1e-300))
-        e_trace.append(e)
-        beta = beta_new
-        iterations = it
-        if np.linalg.norm(beta) > cfg.divergence_norm:
-            raise DivergenceError(
-                f"slope norm exceeded {cfg.divergence_norm:g} at iteration {it}")
-        if e < cfg.threshold:
-            status = "converged"
-            break
+        return _binary_deviance_mean(y, eta[:, 0]), eta + (y_col - pc) / w, w[:, 0]
 
-    g = phi0 - phi @ beta
-    return GplmFit(model="logistic", beta=beta, phi0=phi0[:, None], phi=phi,
-                   g=g[:, None], z_final=z[:, None], iterations=iterations,
-                   converged=(status == "converged"), status=status,
-                   bandwidth=spec.bandwidth, e_trace=e_trace)
+    def normal(xc, w, r):
+        return xc.T @ (w[:, None] * xc), xc.T @ (w * r[:, 0])
+
+    return _irls("logistic", step, normal, np.full((len(y), 1), -0.5), x,
+                 shapes, spec, backend, cfg, cache)
 
 
-def _query_rows(s_new, train_shapes, backend):
-    dist = backend.distances_to(s_new, train_shapes)
-    return dist, backend.log_density_at(dist)
+def _query_terms(fit: GplmFit, model: str, x_new, s_new, train_shapes, train_x,
+                 spec: KernelSpec | None, backend, query_rows):
+    """The three terms of the linear predictor at a query point:
+    ``x_new @ beta``, the smooth of the stored working targets (one entry per
+    logit) and the smooth of the training covariates times ``beta``. The
+    families add them up in different orders, which shows in the last bits."""
+    if fit.model != model:
+        raise InvalidArgumentError(f"{model} prediction needs a {model} fit, "
+                                   f"got {fit.model!r}")
+    spec = spec or KernelSpec(bandwidth=fit.bandwidth)
+    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+    train_x = _as_design(train_x, len(train_shapes))
+    if query_rows is None:
+        dist = backend.distances_to(s_new, train_shapes)
+        query_rows = dist, backend.log_density_at(dist)
+    phi0_new = smooth_at(*query_rows, fit.z_final, spec, query=s_new)
+    phi_new = smooth_at(*query_rows, train_x, spec, query=s_new)
+    return x_new @ fit.beta, phi0_new, phi_new @ fit.beta
 
 
 def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
@@ -279,16 +313,9 @@ def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
     ``(distances, log_densities)`` from ``s_new`` to the training sample,
     e.g. rows sliced from a dataset-wide cache.
     """
-    if fit.model != "logistic":
-        raise InvalidArgumentError(f"expected a logistic fit, got {fit.model!r}")
-    spec = spec or KernelSpec(bandwidth=fit.bandwidth)
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    train_x = _as_design(train_x, len(train_shapes))
-    dist, logdens = query_rows if query_rows is not None else _query_rows(
-        s_new, train_shapes, backend)
-    phi0_new = smooth_at(dist, logdens, fit.z_final[:, 0], spec, query=s_new)
-    phi_new = smooth_at(dist, logdens, train_x, spec, query=s_new)
-    eta = float(x_new @ fit.beta + phi0_new - phi_new @ fit.beta)
+    xb, phi0_new, phib = _query_terms(fit, "logistic", x_new, s_new, train_shapes,
+                                      train_x, spec, backend, query_rows)
+    eta = float(xb + phi0_new[0] - phib)
     return float(_expit(np.array([eta]))[0])
 
 
@@ -362,86 +389,47 @@ def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
     are specific to three categories and general ``K`` is not implemented.
     """
     cfg = cfg or FitConfig()
-    y = np.asarray(y)
-    n = len(shapes)
-    if y.shape != (n,):
-        raise InvalidArgumentError(f"response must have length {n}, got {y.shape}")
+    y, x = _check_inputs(y, x, len(shapes), dtype=None)
     if not np.all(np.isin(y, (1, 2, 3))):
         raise InvalidArgumentError(
             "ordinal response must take values in {1, 2, 3}; general K is unsupported")
     if len(np.unique(y)) < 3:
         raise InvalidArgumentError("all three categories must be present")
-    x = _as_design(x, n)
-    p_dim = x.shape[1]
-    if n <= p_dim:
-        raise InvalidArgumentError("need more observations than covariates")
-    if cache is None:
-        cache = SmootherCache.from_points(shapes, backend)
-
     eps = cfg.prob_floor
     y_idx = np.asarray(y, dtype=int) - 1
     Y = np.stack([(y <= 1).astype(float), (y <= 2).astype(float)], axis=1)
     cum = np.array([(y <= 1).mean(), (y <= 2).mean()])
-    beta = np.zeros(p_dim)
-    phi0 = np.tile(np.log(cum / (1.0 - cum)), (n, 1))
-    spec.check_against(backend)
-    w_smooth = normalised_weight_matrix(cache, spec)
-    phi = apply_weights(w_smooth, x)
-    xc = x - phi
-    z = np.zeros((n, 2))
-    e_trace: list[float] = []
-    status, iterations = "max_iter", 0
 
-    for it in range(1, cfg.max_iter + 1):
-        g = phi0 - (phi @ beta)[:, None]
-        eta = (x @ beta)[:, None] + g
-        gam = _expit(eta)
+    def step(eta, gam):
         pimat = _ordinal_category_probs(gam)
-        saturated = bool(np.any(gam == 0.0) or np.any(gam == 1.0))
-        if it > 1 and (saturated
-                       or _ordinal_deviance_mean(y_idx, pimat) < cfg.separation_deviance):
-            status = "separation"
-            break
         picl = np.clip(pimat, eps, 1.0 - eps)
         gamc = np.clip(gam, eps, 1.0 - eps)
         dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
         resid = Y - gamc
-        if cfg.irls_variant == "paper":
-            z = eta + dlink * resid
-        else:
-            z = eta + resid / dlink
         # inverse indicator covariance, elementwise over subjects
         W11 = (1.0 - picl[:, 2]) / (picl[:, 0] * picl[:, 1])
         W12 = -1.0 / picl[:, 1]
         W22 = (1.0 - picl[:, 0]) / (picl[:, 2] * picl[:, 1])
-        if cfg.irls_variant == "standard":
+        if cfg.irls_variant == "paper":
+            z = eta + dlink * resid
+        else:
+            z = eta + resid / dlink
             W11 = dlink[:, 0] * W11 * dlink[:, 0]
             W12 = dlink[:, 0] * W12 * dlink[:, 1]
             W22 = dlink[:, 1] * W22 * dlink[:, 1]
-        phi0 = apply_weights(w_smooth, z)
-        r = z - phi0
+        return _ordinal_deviance_mean(y_idx, pimat), z, (W11, W12, W22)
+
+    def normal(xc, W, r):
+        W11, W12, W22 = W
         # The stacked design repeats each covariate row across both logits, so
         # the normal equations reduce to scalar weights 1^T W_i 1 per subject.
         wsum = W11 + 2.0 * W12 + W22
         rhs = W11 * r[:, 0] + W12 * (r[:, 0] + r[:, 1]) + W22 * r[:, 1]
-        beta_new = _solve((xc * wsum[:, None]).T @ xc, xc.T @ rhs, cfg.ridge)
-        e = float(np.linalg.norm(beta_new - beta)
-                  / max(np.linalg.norm(beta_new), 1e-300))
-        e_trace.append(e)
-        beta = beta_new
-        iterations = it
-        if np.linalg.norm(beta) > cfg.divergence_norm:
-            raise DivergenceError(
-                f"slope norm exceeded {cfg.divergence_norm:g} at iteration {it}")
-        if e < cfg.threshold:
-            status = "converged"
-            break
+        return (xc * wsum[:, None]).T @ xc, xc.T @ rhs
 
-    g = phi0 - (phi @ beta)[:, None]
-    return GplmFit(model="ordinal", beta=beta, phi0=phi0, phi=phi, g=g,
-                   z_final=z, iterations=iterations,
-                   converged=(status == "converged"), status=status,
-                   bandwidth=spec.bandwidth, e_trace=e_trace)
+    return _irls("ordinal", step, normal,
+                 np.tile(np.log(cum / (1.0 - cum)), (len(y), 1)), x, shapes,
+                 spec, backend, cfg, cache)
 
 
 @dataclass(frozen=True)
@@ -462,16 +450,9 @@ def predict_ordinal(fit: GplmFit, x_new, s_new, train_shapes, train_x,
 
     ``query_rows`` works as in :func:`predict_logistic`.
     """
-    if fit.model != "ordinal":
-        raise InvalidArgumentError(f"expected an ordinal fit, got {fit.model!r}")
-    spec = spec or KernelSpec(bandwidth=fit.bandwidth)
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    train_x = _as_design(train_x, len(train_shapes))
-    dist, logdens = query_rows if query_rows is not None else _query_rows(
-        s_new, train_shapes, backend)
-    phi0_new = smooth_at(dist, logdens, fit.z_final, spec, query=s_new)
-    phi_new = smooth_at(dist, logdens, train_x, spec, query=s_new)
-    eta = float(x_new @ fit.beta - phi_new @ fit.beta) + phi0_new
+    xb, phi0_new, phib = _query_terms(fit, "ordinal", x_new, s_new, train_shapes,
+                                      train_x, spec, backend, query_rows)
+    eta = float(xb - phib) + phi0_new
     gam = _expit(eta)
     repaired = bool(gam[0] > gam[1])
     if repaired:

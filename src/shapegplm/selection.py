@@ -26,7 +26,8 @@ from .models import (
 )
 from .smoothing import KernelSpec, SmootherCache
 
-__all__ = ["CvReport", "SubjectPrediction", "loocv", "bandwidth_sweep"]
+__all__ = ["CvReport", "SubjectPrediction", "run_folds", "loocv",
+           "bandwidth_sweep"]
 
 
 @dataclass(frozen=True)
@@ -61,27 +62,62 @@ class CvReport:
                    key=lambda h: (-self.accuracy[h], h))
 
 
-def _class_values(model: str) -> list[int]:
-    return [0, 1] if model == "logistic" else [1, 2, 3]
+def run_folds(bundle, model: str, key: float, labels, classes,
+              fit_fold) -> CvReport:
+    """Leave-one-subject-out folds, shared by every cross-validated model.
 
+    Subjects are visited in order of first appearance. A fold whose training
+    part lost one of ``classes`` (values of ``labels``) is skipped and
+    recorded; ``fit_fold(held, train)`` fits the rest, given row indices, and
+    returns one ``(row, predicted, probs)`` per held-out row, or ``None`` to
+    skip the fold. With ``SHAPEGPLM_THREADS`` above 1 the folds run on a
+    thread pool; the report is the same. ``key`` indexes the report (the
+    bandwidth, or 0.0 for a model without one).
+    """
+    if len(bundle.samples) < 3:
+        raise InvalidArgumentError("cross-validation needs at least 3 rows")
+    subjects = np.asarray(bundle.subjects)
+    order = list(dict.fromkeys(subjects))
 
-def _fit_one(model, y, x, shapes, spec, backend, cfg, cache):
-    if model == "logistic":
-        return fit_logistic_plm(y, x, shapes, spec, backend, cfg=cfg, cache=cache)
-    if model == "ordinal":
-        return fit_ordinal_plm(y, x, shapes, spec, backend, cfg=cfg, cache=cache)
-    raise InvalidArgumentError(f"cross-validation supports logistic/ordinal, got {model!r}")
+    def run_fold(subject):
+        train = np.flatnonzero(subjects != subject)
+        if any(not np.any(labels[train] == c) for c in classes):
+            return None
+        return fit_fold(np.flatnonzero(subjects == subject), train)
 
+    workers = int(os.environ.get("SHAPEGPLM_THREADS", "1"))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_fold, order))
+    else:
+        results = [run_fold(s) for s in order]
 
-def _predict_one(model, fit, x_new, s_new, shapes, x, spec, backend,
-                 query_rows=None):
-    if model == "logistic":
-        p = predict_logistic(fit, x_new, s_new, shapes, x, spec, backend,
-                             query_rows=query_rows)
-        return (1 if p > 0.5 else 0), (1.0 - p, p)
-    pred = predict_ordinal(fit, x_new, s_new, shapes, x, spec, backend,
-                           query_rows=query_rows)
-    return pred.category, tuple(pred.probs)
+    predictions: list[SubjectPrediction] = []
+    skipped: list[str] = []
+    for subject, res in zip(order, results):
+        if res is None:
+            skipped.append(str(subject))
+            continue
+        predictions.extend(SubjectPrediction(
+            bandwidth=key, row_id=str(bundle.ids[i]), subject=str(subject),
+            true_label=int(labels[i]), predicted=int(pred),
+            probs=tuple(float(p) for p in probs)) for i, pred, probs in res)
+    if not predictions:
+        raise DegenerateDatasetError(
+            "every cross-validation fold was skipped (a class vanished from "
+            "each training set, or every fit failed)")
+
+    n_eval = len(predictions)
+    n_corr = sum(p.predicted == p.true_label for p in predictions)
+    conf = np.zeros((len(classes), len(classes)), dtype=int)
+    index = {c: i for i, c in enumerate(classes)}
+    for p in predictions:
+        conf[index[p.true_label], index[p.predicted]] += 1
+    return CvReport(model=model, bandwidths=[key],
+                    accuracy={key: 100.0 * n_corr / n_eval},
+                    n_evaluated={key: n_eval}, n_correct={key: n_corr},
+                    predictions=predictions, confusion={key: conf},
+                    skipped_folds={key: skipped})
 
 
 def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
@@ -93,33 +129,16 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
     With ``use_cache=False`` each fold rebuilds its own pairwise matrices from
     scratch (the reference point for the cache benchmark).
     """
+    if model not in ("logistic", "ordinal"):
+        raise InvalidArgumentError(
+            f"cross-validation supports logistic/ordinal, got {model!r}")
     cfg = cfg or FitConfig()
-    n = len(bundle.samples)
-    if n < 3:
-        raise InvalidArgumentError("cross-validation needs at least 3 rows")
     y = np.asarray(bundle.y)
     x = bundle.x
     shapes = bundle.shapes
-    subjects = np.asarray(bundle.subjects)
-    classes = _class_values(model)
+    full_cache = bundle.cache
 
-    order = []
-    seen = set()
-    for s in subjects:
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-
-    full_cache = bundle.cache if use_cache else None
-    predictions: list[SubjectPrediction] = []
-    skipped: list[str] = []
-
-    def run_fold(subject):
-        held = np.flatnonzero(subjects == subject)
-        train = np.flatnonzero(subjects != subject)
-        y_tr = y[train]
-        if any(not np.any(y_tr == c) for c in classes):
-            return None
+    def fit_fold(held, train):
         shapes_tr = [shapes[i] for i in train]
         x_tr = x[train]
         if use_cache:
@@ -127,53 +146,26 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
                                      logdens=full_cache.logdens[np.ix_(train, train)])
         else:
             cache_tr = SmootherCache.from_points(shapes_tr, bundle.backend)
-        fit = _fit_one(model, y_tr, x_tr, shapes_tr, spec, bundle.backend,
-                       cfg, cache_tr)
+        logistic = model == "logistic"
+        fitter, predict = ((fit_logistic_plm, predict_logistic) if logistic
+                           else (fit_ordinal_plm, predict_ordinal))
+        fit = fitter(y[train], x_tr, shapes_tr, spec, bundle.backend, cfg=cfg,
+                     cache=cache_tr)
         out = []
         for i in held:
             rows = None
             if use_cache:
                 rows = (full_cache.dist[i, train], full_cache.logdens[i, train])
-            pred, probs = _predict_one(model, fit, x[i], shapes[i],
-                                       shapes_tr, x_tr, spec, bundle.backend,
-                                       query_rows=rows)
-            out.append(SubjectPrediction(
-                bandwidth=spec.bandwidth, row_id=str(bundle.ids[i]),
-                subject=str(subject), true_label=int(y[i]),
-                predicted=int(pred), probs=tuple(float(p) for p in probs)))
+            pred = predict(fit, x[i], shapes[i], shapes_tr, x_tr, spec,
+                           bundle.backend, query_rows=rows)
+            if logistic:
+                out.append((i, 1 if pred > 0.5 else 0, (1.0 - pred, pred)))
+            else:
+                out.append((i, pred.category, pred.probs))
         return out
 
-    workers = int(os.environ.get("SHAPEGPLM_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_fold, order))
-    else:
-        results = [run_fold(s) for s in order]
-
-    for subject, res in zip(order, results):
-        if res is None:
-            skipped.append(str(subject))
-        else:
-            predictions.extend(res)
-
-    if not predictions:
-        raise DegenerateDatasetError(
-            "every cross-validation fold was skipped (a class vanished from "
-            "each training set)")
-
-    n_eval = len(predictions)
-    n_corr = sum(p.predicted == p.true_label for p in predictions)
-    conf = np.zeros((len(classes), len(classes)), dtype=int)
-    index = {c: i for i, c in enumerate(classes)}
-    for p in predictions:
-        conf[index[p.true_label], index[p.predicted]] += 1
-
-    h = spec.bandwidth
-    return CvReport(model=model, bandwidths=[h],
-                    accuracy={h: 100.0 * n_corr / n_eval},
-                    n_evaluated={h: n_eval}, n_correct={h: n_corr},
-                    predictions=predictions, confusion={h: conf},
-                    skipped_folds={h: skipped})
+    classes = [0, 1] if model == "logistic" else [1, 2, 3]
+    return run_folds(bundle, model, spec.bandwidth, y, classes, fit_fold)
 
 
 def bandwidth_sweep(bundle, model: str, grid, cfg: FitConfig | None = None,

@@ -198,3 +198,25 @@ class TestBaselineLoocv:
             correct += int(np.argmax(probs)) + 1 == y[i]
         key = rep.bandwidths[0]
         assert rep.n_correct[key] == correct
+
+    def test_labels_need_not_start_at_one(self, rng):
+        # the fitter sees categories 1..K; folds are skipped and scored on the
+        # labels as given
+        bundle = cloud_bundle(rng)
+        rep = baseline_loocv(bundle, var_threshold=0.0)
+        bundle.y = bundle.y - 1.0
+        shifted = baseline_loocv(bundle, var_threshold=0.0)
+        key = rep.bandwidths[0]
+        assert shifted.n_correct[key] == rep.n_correct[key]
+        assert shifted.skipped_folds == rep.skipped_folds
+        assert [p.predicted for p in shifted.predictions] == \
+            [p.predicted - 1 for p in rep.predictions]
+
+    def test_threaded_folds_match_serial(self, rng, monkeypatch):
+        bundle = cloud_bundle(rng)
+        serial = baseline_loocv(bundle)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "4")
+        threaded = baseline_loocv(bundle)
+        assert threaded.skipped_folds == serial.skipped_folds
+        assert [(p.row_id, p.predicted, p.probs) for p in threaded.predictions] == \
+            [(p.row_id, p.predicted, p.probs) for p in serial.predictions]

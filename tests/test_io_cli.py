@@ -1,12 +1,26 @@
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shapegplm import InvalidArgumentError, ingest, read_landmarks, write_landmarks
+from shapegplm import (
+    FitConfig,
+    GplmFit,
+    InvalidArgumentError,
+    KernelSpec,
+    fit_logistic_plm,
+    fit_ordinal_plm,
+    ingest,
+    predict_logistic,
+    predict_ordinal,
+    read_landmarks,
+    write_landmarks,
+)
 from shapegplm.cli import main, parse_bandwidth
 from shapegplm.geometry import MATRIX_BUILD_COUNTS
+from shapegplm.io import load_model_state
 
 from conftest import MACAQUE_MANIFEST, random_configuration
 
@@ -47,6 +61,20 @@ def write_tiny_dataset(rng, root, n=6, k=5, seed_configs=None):
     return root / "manifest.csv"
 
 
+def write_noisy_ordinal_dataset(rng, root, n=15):
+    """Ordinal labels drawn independently of the shapes, so that no
+    cross-validation fold separates."""
+    root.mkdir(parents=True, exist_ok=True)
+    rows = ["# response_type: ordinal3", "id,file,response,cov"]
+    base = random_configuration(rng, k=5)
+    for i in range(n):
+        coords = base + rng.normal(0, 0.3, base.shape)
+        write_landmarks(root / f"t{i}.txt", coords)
+        rows.append(f"t{i},t{i}.txt,{rng.integers(1, 4)},{rng.normal():.5f}")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+    return root / "manifest.csv"
+
+
 class TestIngest:
     def test_macaque_bundle_shape(self, macaque_bundle):
         b = macaque_bundle
@@ -69,6 +97,23 @@ class TestIngest:
         np.testing.assert_array_equal(first.cache.dist, second.cache.dist)
         np.testing.assert_array_equal(first.cache.logdens, second.cache.logdens)
         assert first.content_hash == second.content_hash
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: path.write_bytes(path.read_bytes()[:100]),
+        lambda path: path.write_bytes(b"not a distance cache\n" * 20),
+    ], ids=["truncated", "garbage"])
+    def test_corrupt_disk_cache_is_a_miss(self, rng, tmp_path, corrupt):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        label = ingest(manifest).content_hash
+        (cache_file,) = (tmp_path / "ds" / ".shapegplm-cache").glob("*")
+        corrupt(cache_file)
+        builds = MATRIX_BUILD_COUNTS[label]
+        bundle = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[label] == builds + 1
+        assert list(cache_file.parent.iterdir()) == [cache_file]
+        with np.load(cache_file) as stored:
+            assert str(stored["content_hash"]) == label
+            np.testing.assert_array_equal(stored["dist"], bundle.cache.dist)
 
     def test_dimension_mismatch_names_offender(self, rng, tmp_path):
         root = tmp_path / "ds"
@@ -156,6 +201,22 @@ class TestCli:
             rid, pred, prob = ln.split(",")
             assert pred == ("1" if rid.startswith("f") else "0")
 
+    def test_predict_rejects_gaussian_fit_before_ingest(self, tmp_path, capsys,
+                                                        monkeypatch):
+        out = tmp_path / "plm"
+        assert main(["fit", "--manifest", str(MACAQUE_MANIFEST), "--model", "plm",
+                     "--h", "pi/25", "--out", str(out), "--no-cache"]) == 0
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("predict read data for a Gaussian fit")
+
+        monkeypatch.setattr("shapegplm.io.ingest", no_ingest)
+        code = main(["predict", "--fit", str(out / "fit_state.json"),
+                     "--input", str(MACAQUE_MANIFEST),
+                     "--out", str(tmp_path / "preds"), "--no-cache"])
+        assert code == 1
+        assert "gaussian fit" in capsys.readouterr().err
+
     def test_distances_dump(self, tmp_path):
         out = tmp_path / "dists"
         assert main(["distances", "--manifest", str(MACAQUE_MANIFEST),
@@ -164,18 +225,9 @@ class TestCli:
         assert len(lines) == 19
 
     def test_baseline_command(self, rng, tmp_path):
-        # noisy ordinal labels so no cross-validation fold separates
-        root = tmp_path / "ds"
-        root.mkdir()
-        rows = ["# response_type: ordinal3", "id,file,response,cov"]
-        base = random_configuration(rng, k=5)
-        for i in range(15):
-            coords = base + rng.normal(0, 0.3, base.shape)
-            write_landmarks(root / f"t{i}.txt", coords)
-            rows.append(f"t{i},t{i}.txt,{rng.integers(1, 4)},{rng.normal():.5f}")
-        (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+        manifest = write_noisy_ordinal_dataset(rng, tmp_path / "ds")
         out = tmp_path / "base"
-        code = main(["baseline", "--manifest", str(root / "manifest.csv"),
+        code = main(["baseline", "--manifest", str(manifest),
                      "--var-threshold", "0.6", "--out", str(out), "--no-cache"])
         assert code == 0
         assert (out / "baseline_report.csv").exists()
@@ -210,3 +262,47 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--no-cache"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestModelState:
+    @pytest.mark.parametrize("model,max_iter", [
+        ("logistic", 1000), ("logistic", 2), ("ordinal", 1000), ("ordinal", 2)])
+    def test_round_trip_predicts_like_the_fit(self, rng, tmp_path, model, max_iter):
+        if model == "logistic":
+            manifest = MACAQUE_MANIFEST
+        else:
+            manifest = write_noisy_ordinal_dataset(rng, tmp_path / "ds")
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(manifest), "--model", model,
+                     "--h", "pi/25", "--max-iter", str(max_iter),
+                     "--out", str(out), "--no-cache"]) == 0
+        loaded, state = load_model_state(out / "fit_state.json")
+        assert {"beta", "bandwidth"} <= state.keys()
+
+        b = ingest(manifest, use_disk_cache=False)
+        spec = KernelSpec(bandwidth=np.pi / 25)
+        cfg = FitConfig(max_iter=max_iter)
+        if model == "logistic":
+            fit = fit_logistic_plm(b.y, b.x, b.shapes, spec, b.backend, cfg=cfg)
+        else:
+            fit = fit_ordinal_plm(b.y.astype(int), b.x, b.shapes, spec, b.backend,
+                                  cfg=cfg)
+        for f in fields(GplmFit):
+            assert np.array_equal(getattr(loaded, f.name), getattr(fit, f.name)), f.name
+        if max_iter == 2:
+            assert loaded.status == "max_iter" and not loaded.converged
+            assert loaded.iterations == 2
+
+        predict = predict_logistic if model == "logistic" else predict_ordinal
+        for i in range(len(b.ids)):
+            args = (b.x[i], b.shapes[i], b.shapes, b.x, spec, b.backend)
+            got, want = predict(loaded, *args), predict(fit, *args)
+            if model == "ordinal":
+                got, want = got.probs, want.probs
+            assert np.array_equal(got, want)
+
+    def test_state_without_fit_fields_is_rejected(self, tmp_path):
+        path = tmp_path / "fit_state.json"
+        path.write_text('{"model": "logistic", "beta": [1.0], "bandwidth": 0.1}')
+        with pytest.raises(InvalidArgumentError, match="phi0"):
+            load_model_state(path)
