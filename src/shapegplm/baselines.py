@@ -227,7 +227,8 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
     Per fold the pole, PCA basis, and retained count are recomputed on the
     training shapes alone; the held-out shapes are projected into that
     training chart. Fixed covariates precede the PCA scores in the design.
-    Folds whose fit does not converge (as under separation) are skipped.
+    Folds whose fit does not converge (as under separation) are skipped and
+    counted as ``"nonconverged"`` in the report's ``fit_status``.
     """
     y_raw = np.asarray(bundle.y, dtype=int)
     x = bundle.x
@@ -242,12 +243,13 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
         try:
             alpha, beta = fit_cumulative_logit(y[train], np.hstack([x[train], scores]))
         except NonConvergenceError:
-            return None
+            return "nonconverged", None
         out = []
         for i in held:
             z = model.project(shapes[i])
             probs = predict_cumulative_logit(alpha, beta, np.concatenate([x[i], z]))
             out.append((i, classes[int(np.argmax(probs))], probs))
-        return out
+        return "converged", out
 
-    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_fold)
+    return run_folds(bundle, "baseline", 0.0, y_raw, classes,
+                     lambda folds: [fit_fold(*fold) for fold in folds])

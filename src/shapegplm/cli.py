@@ -17,6 +17,7 @@ from . import io as dio
 from .baselines import baseline_loocv
 from .errors import ShapeGplmError
 from .models import (
+    FIT_STATUSES,
     FitConfig,
     fit_logistic_plm,
     fit_ordinal_plm,
@@ -159,6 +160,8 @@ def _cmd_cv(args) -> int:
     for h in report.bandwidths:
         print(f"h={h:.10g} accuracy={report.accuracy[h]:.2f}% "
               f"({report.n_correct[h]}/{report.n_evaluated[h]})")
+        print(f"h={h:.10g} fold fits: " + " ".join(
+            f"{status}={report.fit_status[h][status]}" for status in FIT_STATUSES))
     print(f"best bandwidth: {report.best_bandwidth:.10g}")
     return 0
 
@@ -174,7 +177,7 @@ def _cmd_predict(args) -> int:
     if train.content_hash != state["dataset_hash"]:
         raise ShapeGplmError(
             "training manifest content changed since the fit was written")
-    query = dio.ingest(args.input, use_disk_cache=not args.no_cache)
+    query = dio.read_dataset(args.input)
     spec = KernelSpec(bandwidth=fit.bandwidth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,7 @@ from .models import GplmFit
 from .smoothing import SmootherCache
 
 __all__ = ["read_landmarks", "write_landmarks", "DatasetManifest",
-           "ManifestRecord", "DatasetBundle", "ingest", "RunConfig",
+           "ManifestRecord", "DatasetBundle", "read_dataset", "ingest", "RunConfig",
            "write_fit_report", "write_model_state", "load_model_state",
            "write_cv_csv"]
 
@@ -151,7 +151,8 @@ def read_manifest(path) -> DatasetManifest:
 
 @dataclass
 class DatasetBundle:
-    """Aligned arrays for one dataset plus the shared smoothing cache."""
+    """Aligned arrays for one dataset plus the shared smoothing cache
+    (``None`` when read by :func:`read_dataset` alone)."""
 
     ids: list[str]
     subjects: list[str]
@@ -161,7 +162,7 @@ class DatasetBundle:
     response_type: str
     samples: list[ShapeSample]
     backend: KendallShapeBackend
-    cache: SmootherCache
+    cache: SmootherCache | None
     content_hash: str
 
     @property
@@ -201,13 +202,12 @@ def _write_atomically(path: Path, **arrays) -> None:
         raise
 
 
-def ingest(manifest_path, use_disk_cache: bool = True,
-           cache_dir=None) -> DatasetBundle:
-    """Load a manifest into a :class:`DatasetBundle`.
+def read_dataset(manifest_path) -> DatasetBundle:
+    """Read a manifest and its landmark files into a :class:`DatasetBundle`
+    without pairwise matrices (``cache`` is ``None``).
 
     All configurations must share one ``(k, m)``; a mismatch is rejected
-    naming the offending record. The pairwise matrices are loaded from the
-    content-keyed disk cache when present, otherwise computed once and saved.
+    naming the offending record.
     """
     manifest = read_manifest(manifest_path)
     configs = []
@@ -224,10 +224,29 @@ def ingest(manifest_path, use_disk_cache: bool = True,
                 f"expected {(k, m)}")
     samples = [preshape(c) for c in configs]
     ids = [r.id for r in manifest.records]
-    subjects = [r.subject for r in manifest.records]
     backend = KendallShapeBackend(k=k, m=m)
-    content = _content_hash(samples, ids, backend.description)
+    x = np.array([r.covariates for r in manifest.records], dtype=float)
+    if x.size == 0:
+        x = np.zeros((len(ids), 0))
+    return DatasetBundle(
+        ids=ids, subjects=[r.subject for r in manifest.records],
+        y=np.array([r.response for r in manifest.records]),
+        x=x, covariate_names=manifest.covariate_names,
+        response_type=manifest.response_type, samples=samples,
+        backend=backend, cache=None,
+        content_hash=_content_hash(samples, ids, backend.description))
 
+
+def ingest(manifest_path, use_disk_cache: bool = True,
+           cache_dir=None) -> DatasetBundle:
+    """Load a manifest into a :class:`DatasetBundle` with its pairwise cache.
+
+    The manifest and landmarks are read by :func:`read_dataset`. The pairwise
+    matrices are loaded from the content-keyed disk cache when present,
+    otherwise computed once and saved.
+    """
+    bundle = read_dataset(manifest_path)
+    content = bundle.content_hash
     cache = None
     cache_file = None
     if use_disk_cache:
@@ -243,21 +262,13 @@ def ingest(manifest_path, use_disk_cache: bool = True,
             except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
                 cache = None  # truncated or corrupt: rebuild and overwrite
     if cache is None:
-        cache = SmootherCache.from_points([s.preshape for s in samples], backend,
+        cache = SmootherCache.from_points(bundle.shapes, bundle.backend,
                                           count_label=content)
         if use_disk_cache and cache_file is not None:
             _write_atomically(cache_file, dist=cache.dist, logdens=cache.logdens,
                               content_hash=np.asarray(content))
-
-    x = np.array([r.covariates for r in manifest.records], dtype=float)
-    if x.size == 0:
-        x = np.zeros((len(ids), 0))
-    return DatasetBundle(
-        ids=ids, subjects=subjects,
-        y=np.array([r.response for r in manifest.records]),
-        x=x, covariate_names=manifest.covariate_names,
-        response_type=manifest.response_type, samples=samples,
-        backend=backend, cache=cache, content_hash=content)
+    bundle.cache = cache
+    return bundle
 
 
 @dataclass(frozen=True)

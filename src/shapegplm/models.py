@@ -15,6 +15,15 @@ smoother residuals on smoother residuals.
   working step differs: weights ``p(1-p)`` for the logistic family, 2x2
   per-subject weight matrices for the ordinal one.
 
+The loop advances a stack of G problems of one size together: arrays carry a
+leading problem axis, ``(G, n, L)`` for the working quantities and
+``(G, n, n)`` for the smoother weights, and every operation acts on each
+problem's slice exactly as it would on that problem alone, so a stacked fit
+equals the single fit bit for bit. Each problem keeps its own stop rules;
+one that stops is written out as a :class:`GplmFit` and dropped from the
+stack. :func:`fit_logistic_plm` and :func:`fit_ordinal_plm` run a stack of
+one; :func:`fit_stack` runs many, e.g. the folds of a cross-validation.
+
 Perfectly separable data deserve a note: the logistic and ordinal likelihoods
 then have no finite maximiser and the slope iterates grow without bound. The
 fits detect the resulting plateau, where every observation is matched almost
@@ -43,8 +52,13 @@ from .smoothing import (
 )
 
 __all__ = ["FitConfig", "GplmFit", "OrdinalWorkMatrices", "OrdinalPrediction",
-           "fit_plm", "fit_logistic_plm", "predict_logistic",
-           "ordinal_work_matrices", "fit_ordinal_plm", "predict_ordinal"]
+           "FIT_STATUSES", "fit_plm", "fit_logistic_plm", "predict_logistic",
+           "ordinal_work_matrices", "fit_ordinal_plm", "predict_ordinal",
+           "fit_stack"]
+
+# How an iterative fit can end. A single fit raises DivergenceError instead of
+# returning "diverged"; a stacked fit returns it.
+FIT_STATUSES = ("converged", "separation", "max_iter", "diverged")
 
 
 @dataclass(frozen=True)
@@ -131,19 +145,20 @@ def _check_inputs(y, x, n: int, dtype=float):
 
 
 def _solve(A: NDArray, b: NDArray, ridge: float) -> NDArray[np.floating]:
-    A = A + ridge * np.eye(A.shape[0])
-    if A.shape == (1, 1):
-        if A[0, 0] == 0.0:
+    """``A x = b`` for one ``p x p`` system or a stack ``(G, p, p)``."""
+    A = A + ridge * np.eye(A.shape[-1])
+    if A.shape[-1] == 1:
+        if (A[..., 0, 0] == 0.0).any():
             raise IllConditionedError(
                 f"normal equations singular even after ridge {ridge:g}")
-        sol = b / A[0, 0]
+        sol = b / A[..., 0]
     else:
         try:
-            sol = np.linalg.solve(A, b)
+            sol = np.linalg.solve(A, b[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"normal equations singular even after ridge {ridge:g}") from exc
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise IllConditionedError("normal-equation solve produced non-finite values")
     return sol
 
@@ -187,64 +202,139 @@ def fit_plm(y, x, shapes, spec: KernelSpec, backend,
                    bandwidth=spec.bandwidth, e_trace=[])
 
 
-def _binary_deviance_mean(y: NDArray, eta: NDArray) -> float:
-    """Mean of -[y log p + (1-y) log(1-p)], computed stably from eta."""
+def _binary_deviance_mean(y: NDArray, eta: NDArray):
+    """Mean of -[y log p + (1-y) log(1-p)] over the last axis, computed
+    stably from eta."""
     sign = np.where(y > 0.5, 1.0, -1.0)
-    return float(np.mean(_softplus(-sign * eta)))
+    return np.mean(_softplus(-sign * eta), axis=-1)
 
 
-def _irls(model: str, step, normal, phi0, x, shapes, spec: KernelSpec,
-          backend, cfg: FitConfig, cache: SmootherCache | None) -> GplmFit:
-    """The sweep shared by the logistic and ordinal fits.
+def _row_norms(v: NDArray) -> NDArray[np.floating]:
+    """Euclidean norm of each row of ``v``, summed as ``np.linalg.norm`` sums
+    a single vector."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    ``phi0`` is the ``n x L`` starting smooth, one column per logit.
-    ``step(eta, prob)`` takes the linear predictor and the fitted
-    probabilities ``expit(eta)`` and returns the mean deviance, the ``n x L``
-    working response and its weights; ``normal(xc, weights, r)`` returns the
+
+def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
+          cfg: FitConfig) -> list[GplmFit]:
+    """The sweep shared by the logistic and ordinal fits, on a stack of G
+    problems of one size.
+
+    ``w_smooth`` holds each problem's ``n x n`` row-normalised smoother
+    weights and ``x`` its ``n x p`` design. ``family`` is ``(phi0, data,
+    step, normal)``: the ``(G, n, L)`` starting smooth, one column per logit;
+    a tuple of per-problem response arrays; ``step(data, eta, prob)``, which
+    takes the linear predictor and the fitted probabilities ``expit(eta)``
+    and returns each problem's mean deviance, the working response and a
+    tuple of its weights; and ``normal(xc, weights, r)``, which returns the
     weighted normal equations ``(A, b)`` of the slope from the smoother
-    residuals ``xc`` of the design and ``r`` of the working response. Stops on
-    a relative slope change below ``cfg.threshold``, on the separation plateau
-    (a saturated probability or a mean deviance below
-    ``cfg.separation_deviance``), or at ``cfg.max_iter``.
+    residuals ``xc`` of the design and ``r`` of the working response.
+
+    A problem stops on a relative slope change below ``cfg.threshold``
+    ("converged"), on the separation plateau (a saturated probability or a
+    mean deviance below ``cfg.separation_deviance``, "separation"), on a
+    slope norm above ``cfg.divergence_norm`` ("diverged"), or at
+    ``cfg.max_iter`` ("max_iter"). A separated problem keeps the previous
+    sweep's state. A failed solve or non-finite working targets raise for
+    the whole stack. Returns one fit per problem, in stack order.
     """
+    phi0, data, step, normal = family
+    phi = apply_weights(w_smooth, x)
+    xc = x - phi
+    beta = np.zeros((x.shape[0], x.shape[2]))
+    z = None  # set by the first sweep, before any problem can stop
+    rows = list(range(len(x)))  # each stacked problem's place in the result
+    traces: list[list[float]] = [[] for _ in rows]
+    fits: list[GplmFit | None] = [None] * len(rows)
+
+    def stop(done, status, carried=()):
+        """Write out the problems flagged in ``done`` and drop them from the
+        stack; returns the kept part of each array in ``carried``."""
+        nonlocal rows, x, phi, xc, w_smooth, phi0, beta, z, data
+        for j in np.flatnonzero(done).tolist():
+            k = rows[j]
+            fits[k] = GplmFit(
+                model=model, beta=beta[j], phi0=phi0[j], phi=phi[j],
+                g=phi0[j] - (phi[j] @ beta[j])[:, None], z_final=z[j],
+                iterations=len(traces[k]), converged=(status == "converged"),
+                status=status, bandwidth=spec.bandwidth, e_trace=traces[k])
+        keep = ~done
+        rows = [k for k, kept in zip(rows, keep.tolist()) if kept]
+        x, phi, xc, w_smooth, phi0, beta, z = (
+            a[keep] for a in (x, phi, xc, w_smooth, phi0, beta, z))
+        data = tuple(a[keep] for a in data)
+        return [a[keep] for a in carried]
+
+    for it in range(1, cfg.max_iter + 1):
+        b = beta[:, :, None]
+        eta = x @ b + (phi0 - phi @ b)
+        prob = _expit(eta)
+        deviance, z_new, weights = step(data, eta, prob)
+        if it > 1:
+            separated = ((deviance < cfg.separation_deviance)
+                         | ((prob == 0.0) | (prob == 1.0)).any(axis=(1, 2)))
+            if separated.any():
+                z_new, *weights = stop(separated, "separation", (z_new, *weights))
+                if not rows:
+                    break
+        z = z_new
+        phi0 = apply_weights(w_smooth, z)
+        beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
+        norm = _row_norms(beta_new)
+        e = _row_norms(beta_new - beta) / np.maximum(norm, 1e-300)
+        for k, e_k in zip(rows, e.tolist()):
+            traces[k].append(e_k)
+        beta = beta_new
+        diverged = norm > cfg.divergence_norm
+        converged = e < cfg.threshold
+        if (diverged | converged).any():
+            if diverged.any():
+                converged, = stop(diverged, "diverged", (converged,))
+            if converged.any():
+                stop(converged, "converged")
+            if not rows:
+                break
+    if rows:
+        stop(np.ones(len(rows), dtype=bool), "max_iter")
+    return fits
+
+
+def _fit_one(model: str, family, x, shapes, spec: KernelSpec, backend,
+             cfg: FitConfig, cache: SmootherCache | None) -> GplmFit:
+    """One problem through :func:`_irls`, as a stack of one."""
     if cache is None:
         cache = SmootherCache.from_points(shapes, backend)
     spec.check_against(backend)
     w_smooth = normalised_weight_matrix(cache, spec)
-    beta = np.zeros(x.shape[1])
-    phi = apply_weights(w_smooth, x)
-    xc = x - phi
-    e_trace: list[float] = []
-    status, iterations = "max_iter", 0
+    fit, = _irls(model, family, w_smooth[None], x[None], spec, cfg)
+    if fit.status == "diverged":
+        raise DivergenceError(f"slope norm exceeded {cfg.divergence_norm:g} "
+                              f"at iteration {fit.iterations}")
+    return fit
 
-    for it in range(1, cfg.max_iter + 1):
-        eta = (x @ beta)[:, None] + (phi0 - (phi @ beta)[:, None])
-        prob = _expit(eta)
-        saturated = bool(np.any(prob == 0.0) or np.any(prob == 1.0))
-        deviance, z_new, weights = step(eta, prob)
-        if it > 1 and (saturated or deviance < cfg.separation_deviance):
-            status = "separation"
-            break
-        z = z_new  # a separated fit keeps the previous sweep's targets
-        phi0 = apply_weights(w_smooth, z)
-        beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
-        e = float(np.linalg.norm(beta_new - beta)
-                  / max(np.linalg.norm(beta_new), 1e-300))
-        e_trace.append(e)
-        beta = beta_new
-        iterations = it
-        if np.linalg.norm(beta) > cfg.divergence_norm:
-            raise DivergenceError(
-                f"slope norm exceeded {cfg.divergence_norm:g} at iteration {it}")
-        if e < cfg.threshold:
-            status = "converged"
-            break
 
-    g = phi0 - (phi @ beta)[:, None]
-    return GplmFit(model=model, beta=beta, phi0=phi0, phi=phi, g=g,
-                   z_final=z, iterations=iterations,
-                   converged=(status == "converged"), status=status,
-                   bandwidth=spec.bandwidth, e_trace=e_trace)
+def _logistic(y: NDArray, cfg: FitConfig):
+    """The logistic family of :func:`_irls` for 0/1 responses ``(G, n)``."""
+    uniq = np.unique(y)
+    if not np.all(np.isin(uniq, (0.0, 1.0))):
+        raise InvalidArgumentError(f"logistic response must be 0/1, got values {uniq}")
+    if np.any(y.min(axis=-1) == y.max(axis=-1)):
+        raise InvalidArgumentError("both response classes must be present")
+    eps = cfg.prob_floor
+
+    def step(data, eta, pr):
+        y, = data
+        pc = np.clip(pr, eps, 1.0 - eps)
+        w = pc * (1.0 - pc)
+        return (_binary_deviance_mean(y, eta[..., 0]),
+                eta + (y[..., None] - pc) / w, (w[..., 0],))
+
+    def normal(xc, weights, r):
+        w, = weights
+        xt = xc.swapaxes(-1, -2)
+        return xt @ (w[..., None] * xc), (xt @ (w * r[..., 0])[..., None])[..., 0]
+
+    return np.full(y.shape + (1,), -0.5), (y,), step, normal
 
 
 def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
@@ -257,28 +347,14 @@ def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
     (probabilities clamped to ``[prob_floor, 1 - prob_floor]``), smooth ``z``
     unweighted to refresh the nonparametric part, and solve the weighted
     normal equations for the slope. Stops on a relative slope change below
-    ``cfg.threshold``, on the separation plateau, or at ``cfg.max_iter``.
+    ``cfg.threshold``, on the separation plateau, or at ``cfg.max_iter``;
+    raises :class:`DivergenceError` when the slope norm exceeds
+    ``cfg.divergence_norm``.
     """
     cfg = cfg or FitConfig()
     y, x = _check_inputs(y, x, len(shapes))
-    uniq = np.unique(y)
-    if not np.all(np.isin(uniq, (0.0, 1.0))):
-        raise InvalidArgumentError(f"logistic response must be 0/1, got values {uniq}")
-    if len(uniq) < 2:
-        raise InvalidArgumentError("both response classes must be present")
-    eps = cfg.prob_floor
-    y_col = y[:, None]
-
-    def step(eta, pr):
-        pc = np.clip(pr, eps, 1.0 - eps)
-        w = pc * (1.0 - pc)
-        return _binary_deviance_mean(y, eta[:, 0]), eta + (y_col - pc) / w, w[:, 0]
-
-    def normal(xc, w, r):
-        return xc.T @ (w[:, None] * xc), xc.T @ (w * r[:, 0])
-
-    return _irls("logistic", step, normal, np.full((len(y), 1), -0.5), x,
-                 shapes, spec, backend, cfg, cache)
+    return _fit_one("logistic", _logistic(y[None], cfg), x, shapes, spec,
+                    backend, cfg, cache)
 
 
 def _query_terms(fit: GplmFit, model: str, x_new, s_new, train_shapes, train_x,
@@ -357,13 +433,61 @@ def ordinal_work_matrices(pi1: float, pi2: float, pi3: float,
 
 
 def _ordinal_category_probs(gam: NDArray) -> NDArray[np.floating]:
-    """n x 3 category probabilities from n x 2 cumulative probabilities."""
-    return np.stack([gam[:, 0], gam[:, 1] - gam[:, 0], 1.0 - gam[:, 1]], axis=1)
+    """``... x 3`` category probabilities from ``... x 2`` cumulative ones."""
+    return np.stack([gam[..., 0], gam[..., 1] - gam[..., 0], 1.0 - gam[..., 1]],
+                    axis=-1)
 
 
-def _ordinal_deviance_mean(y_idx: NDArray, pimat: NDArray) -> float:
-    pobs = pimat[np.arange(len(y_idx)), y_idx]
-    return float(-np.mean(np.log(np.clip(pobs, 1e-300, None))))
+def _ordinal_deviance_mean(y_idx: NDArray, pimat: NDArray):
+    pobs = pimat.reshape(-1, 3)[np.arange(y_idx.size), y_idx.ravel()]
+    pobs = pobs.reshape(y_idx.shape)
+    return -np.mean(np.log(np.clip(pobs, 1e-300, None)), axis=-1)
+
+
+def _ordinal(y: NDArray, cfg: FitConfig):
+    """The ordinal family of :func:`_irls` for responses ``(G, n)`` in
+    ``{1, 2, 3}``."""
+    if not np.all(np.isin(y, (1, 2, 3))):
+        raise InvalidArgumentError(
+            "ordinal response must take values in {1, 2, 3}; general K is unsupported")
+    if not all(np.all(np.any(y == c, axis=-1)) for c in (1, 2, 3)):
+        raise InvalidArgumentError("all three categories must be present")
+    eps = cfg.prob_floor
+    y_idx = np.asarray(y, dtype=int) - 1
+    Y = np.stack([(y <= 1).astype(float), (y <= 2).astype(float)], axis=-1)
+    cum = np.stack([(y <= 1).mean(axis=-1), (y <= 2).mean(axis=-1)], axis=-1)
+
+    def step(data, eta, gam):
+        Y, y_idx = data
+        pimat = _ordinal_category_probs(gam)
+        picl = np.clip(pimat, eps, 1.0 - eps)
+        gamc = np.clip(gam, eps, 1.0 - eps)
+        dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
+        resid = Y - gamc
+        # inverse indicator covariance, elementwise over subjects
+        W11 = (1.0 - picl[..., 2]) / (picl[..., 0] * picl[..., 1])
+        W12 = -1.0 / picl[..., 1]
+        W22 = (1.0 - picl[..., 0]) / (picl[..., 2] * picl[..., 1])
+        if cfg.irls_variant == "paper":
+            z = eta + dlink * resid
+        else:
+            z = eta + resid / dlink
+            W11 = dlink[..., 0] * W11 * dlink[..., 0]
+            W12 = dlink[..., 0] * W12 * dlink[..., 1]
+            W22 = dlink[..., 1] * W22 * dlink[..., 1]
+        return _ordinal_deviance_mean(y_idx, pimat), z, (W11, W12, W22)
+
+    def normal(xc, W, r):
+        W11, W12, W22 = W
+        # The stacked design repeats each covariate row across both logits, so
+        # the normal equations reduce to scalar weights 1^T W_i 1 per subject.
+        wsum = W11 + 2.0 * W12 + W22
+        rhs = W11 * r[..., 0] + W12 * (r[..., 0] + r[..., 1]) + W22 * r[..., 1]
+        return ((xc * wsum[..., None]).swapaxes(-1, -2) @ xc,
+                (xc.swapaxes(-1, -2) @ rhs[..., None])[..., 0])
+
+    start = np.repeat(np.log(cum / (1.0 - cum))[:, None, :], y.shape[-1], axis=1)
+    return start, (Y, y_idx), step, normal
 
 
 def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
@@ -375,7 +499,7 @@ def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
     ``k = 1, 2``, sharing one slope across both logits. Each sweep builds a
     two-column working response and per-subject 2x2 weight matrices, smooths
     the working columns unweighted, and solves the stacked weighted normal
-    equations for the slope.
+    equations for the slope. Stops as :func:`fit_logistic_plm` does.
 
     ``cfg.irls_variant`` selects the residual scaling: ``"paper"`` multiplies
     the indicator residuals by ``diag(gam_k (1 - gam_k))`` and weights by the
@@ -390,46 +514,38 @@ def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
     """
     cfg = cfg or FitConfig()
     y, x = _check_inputs(y, x, len(shapes), dtype=None)
-    if not np.all(np.isin(y, (1, 2, 3))):
+    return _fit_one("ordinal", _ordinal(y[None], cfg), x, shapes, spec,
+                    backend, cfg, cache)
+
+
+def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
+              cfg: FitConfig | None = None) -> list[GplmFit]:
+    """Logistic or ordinal fits of G problems of one size, advanced together.
+
+    ``y`` is ``(G, n)``, ``x`` the ``(G, n, p)`` designs and ``w_smooth`` the
+    ``(G, n, n)`` row-normalised smoother weights of each problem's sample at
+    the bandwidth of ``spec`` (slice ``g`` as :func:`normalised_weight_matrix`
+    returns it for problem ``g``). Each fit equals, bit for bit, the one
+    :func:`fit_logistic_plm` or :func:`fit_ordinal_plm` makes for its
+    problem alone, except that a problem whose slope diverges ends with
+    ``status="diverged"`` instead of raising :class:`DivergenceError`.
+    """
+    families = {"logistic": _logistic, "ordinal": _ordinal}
+    if model not in families:
+        raise InvalidArgumentError(f"stacked fits are logistic/ordinal, got {model!r}")
+    cfg = cfg or FitConfig()
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w_smooth = np.asarray(w_smooth, dtype=float)
+    if (y.ndim != 2 or x.ndim != 3 or x.shape[:2] != y.shape
+            or w_smooth.shape != y.shape + y.shape[-1:]):
         raise InvalidArgumentError(
-            "ordinal response must take values in {1, 2, 3}; general K is unsupported")
-    if len(np.unique(y)) < 3:
-        raise InvalidArgumentError("all three categories must be present")
-    eps = cfg.prob_floor
-    y_idx = np.asarray(y, dtype=int) - 1
-    Y = np.stack([(y <= 1).astype(float), (y <= 2).astype(float)], axis=1)
-    cum = np.array([(y <= 1).mean(), (y <= 2).mean()])
-
-    def step(eta, gam):
-        pimat = _ordinal_category_probs(gam)
-        picl = np.clip(pimat, eps, 1.0 - eps)
-        gamc = np.clip(gam, eps, 1.0 - eps)
-        dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
-        resid = Y - gamc
-        # inverse indicator covariance, elementwise over subjects
-        W11 = (1.0 - picl[:, 2]) / (picl[:, 0] * picl[:, 1])
-        W12 = -1.0 / picl[:, 1]
-        W22 = (1.0 - picl[:, 0]) / (picl[:, 2] * picl[:, 1])
-        if cfg.irls_variant == "paper":
-            z = eta + dlink * resid
-        else:
-            z = eta + resid / dlink
-            W11 = dlink[:, 0] * W11 * dlink[:, 0]
-            W12 = dlink[:, 0] * W12 * dlink[:, 1]
-            W22 = dlink[:, 1] * W22 * dlink[:, 1]
-        return _ordinal_deviance_mean(y_idx, pimat), z, (W11, W12, W22)
-
-    def normal(xc, W, r):
-        W11, W12, W22 = W
-        # The stacked design repeats each covariate row across both logits, so
-        # the normal equations reduce to scalar weights 1^T W_i 1 per subject.
-        wsum = W11 + 2.0 * W12 + W22
-        rhs = W11 * r[:, 0] + W12 * (r[:, 0] + r[:, 1]) + W22 * r[:, 1]
-        return (xc * wsum[:, None]).T @ xc, xc.T @ rhs
-
-    return _irls("ordinal", step, normal,
-                 np.tile(np.log(cum / (1.0 - cum)), (len(y), 1)), x, shapes,
-                 spec, backend, cfg, cache)
+            f"stack shapes disagree: y {y.shape}, x {x.shape}, weights {w_smooth.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("design contains non-finite values")
+    if y.shape[1] <= x.shape[2]:
+        raise InvalidArgumentError("need more observations than covariates")
+    return _irls(model, families[model](y, cfg), w_smooth, x, spec, cfg)
 
 
 @dataclass(frozen=True)

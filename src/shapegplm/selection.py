@@ -5,11 +5,19 @@ contributes, and each held-out row yields one prediction. Training smooths
 never see the held-out subject's shape, covariates, or label. Fits across
 folds and bandwidths share one read-only distance cache; only index
 subsetting differs per fold.
+
+The fold fits of :func:`loocv` run as stacks through
+:func:`shapegplm.models.fit_stack`: folds whose training sets have the same
+size are fitted together, at most :data:`STACK_WEIGHTS` smoother weights at a
+time, and each stack's held-out rows are predicted as soon as it is fitted.
+Every fold's fit is the one it would get alone, so the report does not depend
+on how the folds are stacked.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,17 +25,29 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDatasetError, InvalidArgumentError
-from .models import (
+# loocv fits through fit_stack; the per-fold fitters stay importable here
+# because bench/tracing.py wraps them under these names.
+from .models import (  # noqa: F401
     FitConfig,
     fit_logistic_plm,
     fit_ordinal_plm,
+    fit_stack,
     predict_logistic,
     predict_ordinal,
 )
-from .smoothing import KernelSpec, SmootherCache
+from .smoothing import (
+    KernelSpec,
+    SmootherCache,
+    _log_weights,
+    _normalised,
+    normalised_weight_matrix,
+)
 
 __all__ = ["CvReport", "SubjectPrediction", "run_folds", "loocv",
-           "bandwidth_sweep"]
+           "bandwidth_sweep", "STACK_WEIGHTS"]
+
+# Most smoother weights (float64) in one stack of fold fits: 512 KiB.
+STACK_WEIGHTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -44,7 +64,13 @@ class SubjectPrediction:
 
 @dataclass
 class CvReport:
-    """Accuracy per bandwidth with per-row detail and confusion matrices."""
+    """Accuracy per bandwidth with per-row detail and confusion matrices.
+
+    ``fit_status`` counts, per bandwidth, the folds whose fit ended in each
+    status (for :func:`loocv`, the keys of
+    :data:`shapegplm.models.FIT_STATUSES`); folds skipped for a lost class
+    were never fitted and are not counted.
+    """
 
     model: str
     bandwidths: list[float]
@@ -54,6 +80,7 @@ class CvReport:
     predictions: list[SubjectPrediction]
     confusion: dict[float, NDArray]                   # rows true, cols predicted
     skipped_folds: dict[float, list[str]] = field(default_factory=dict)
+    fit_status: dict[float, Counter] = field(default_factory=dict)
 
     @property
     def best_bandwidth(self) -> float:
@@ -63,38 +90,45 @@ class CvReport:
 
 
 def run_folds(bundle, model: str, key: float, labels, classes,
-              fit_fold) -> CvReport:
+              fit_folds) -> CvReport:
     """Leave-one-subject-out folds, shared by every cross-validated model.
 
     Subjects are visited in order of first appearance. A fold whose training
     part lost one of ``classes`` (values of ``labels``) is skipped and
-    recorded; ``fit_fold(held, train)`` fits the rest, given row indices, and
-    returns one ``(row, predicted, probs)`` per held-out row, or ``None`` to
-    skip the fold. With ``SHAPEGPLM_THREADS`` above 1 the folds run on a
-    thread pool; the report is the same. ``key`` indexes the report (the
-    bandwidth, or 0.0 for a model without one).
+    recorded. ``fit_folds`` fits the rest: given a list of ``(held, train)``
+    row-index pairs, it returns for each fold a pair ``(status, rows)``, the
+    status its fit ended with and one ``(row, predicted, probs)`` per
+    held-out row, or ``None`` for ``rows`` to skip the fold. With
+    ``SHAPEGPLM_THREADS=k`` above 1 the list is split into ``k`` contiguous
+    parts that run on a thread pool; the report is the same. ``key`` indexes
+    the report (the bandwidth, or 0.0 for a model without one).
     """
     if len(bundle.samples) < 3:
         raise InvalidArgumentError("cross-validation needs at least 3 rows")
     subjects = np.asarray(bundle.subjects)
     order = list(dict.fromkeys(subjects))
-
-    def run_fold(subject):
+    folds, fitted = [], []
+    for subject in order:
         train = np.flatnonzero(subjects != subject)
-        if any(not np.any(labels[train] == c) for c in classes):
-            return None
-        return fit_fold(np.flatnonzero(subjects == subject), train)
+        if all(np.any(labels[train] == c) for c in classes):
+            folds.append((np.flatnonzero(subjects == subject), train))
+            fitted.append(subject)
 
     workers = int(os.environ.get("SHAPEGPLM_THREADS", "1"))
-    if workers > 1:
+    if workers > 1 and len(folds) > 1:
+        size = -(-len(folds) // workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_fold, order))
+            parts = pool.map(fit_folds, [folds[i:i + size]
+                                         for i in range(0, len(folds), size)])
+            results = [res for part in parts for res in part]
     else:
-        results = [run_fold(s) for s in order]
+        results = fit_folds(folds)
+    outcome = dict(zip(fitted, results))
 
     predictions: list[SubjectPrediction] = []
     skipped: list[str] = []
-    for subject, res in zip(order, results):
+    for subject in order:
+        status, res = outcome.get(subject, (None, None))
         if res is None:
             skipped.append(str(subject))
             continue
@@ -117,7 +151,8 @@ def run_folds(bundle, model: str, key: float, labels, classes,
                     accuracy={key: 100.0 * n_corr / n_eval},
                     n_evaluated={key: n_eval}, n_correct={key: n_corr},
                     predictions=predictions, confusion={key: conf},
-                    skipped_folds={key: skipped})
+                    skipped_folds={key: skipped},
+                    fit_status={key: Counter(status for status, _ in results)})
 
 
 def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
@@ -125,47 +160,73 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
     """Leave-one-subject-out cross-validation at a single bandwidth.
 
     Folds whose training part lost an entire response class are skipped and
-    recorded; if every fold is skipped the dataset cannot be cross-validated.
-    With ``use_cache=False`` each fold rebuilds its own pairwise matrices from
+    recorded, and so are folds whose fit diverged; if every fold is skipped
+    the dataset cannot be cross-validated. Folds with training sets of one
+    size are fitted as stacks (see the module docstring). With
+    ``use_cache=False`` each fold rebuilds its own pairwise matrices from
     scratch (the reference point for the cache benchmark).
     """
     if model not in ("logistic", "ordinal"):
         raise InvalidArgumentError(
             f"cross-validation supports logistic/ordinal, got {model!r}")
     cfg = cfg or FitConfig()
-    y = np.asarray(bundle.y)
+    y = np.asarray(bundle.y, dtype=float)
     x = bundle.x
     shapes = bundle.shapes
+    backend = bundle.backend
     full_cache = bundle.cache
+    logistic = model == "logistic"
+    predict = predict_logistic if logistic else predict_ordinal
+    spec.check_against(backend)
+    if use_cache:
+        # The log weights are elementwise in the cached matrices, so a fold's
+        # block of this one matrix, row-normalised, is exactly the fold's own
+        # smoother weight matrix.
+        log_w = _log_weights(full_cache.dist, full_cache.logdens, spec)
 
-    def fit_fold(held, train):
+    def weights(trains):
+        if use_cache:
+            return _normalised(log_w[trains[:, :, None], trains[:, None, :]],
+                               query="<all sample points>")
+        return np.stack([normalised_weight_matrix(
+            SmootherCache.from_points([shapes[i] for i in t], backend), spec)
+            for t in trains])
+
+    def predict_held(fit, held, train):
         shapes_tr = [shapes[i] for i in train]
         x_tr = x[train]
-        if use_cache:
-            cache_tr = SmootherCache(dist=full_cache.dist[np.ix_(train, train)],
-                                     logdens=full_cache.logdens[np.ix_(train, train)])
-        else:
-            cache_tr = SmootherCache.from_points(shapes_tr, bundle.backend)
-        logistic = model == "logistic"
-        fitter, predict = ((fit_logistic_plm, predict_logistic) if logistic
-                           else (fit_ordinal_plm, predict_ordinal))
-        fit = fitter(y[train], x_tr, shapes_tr, spec, bundle.backend, cfg=cfg,
-                     cache=cache_tr)
         out = []
         for i in held:
             rows = None
             if use_cache:
                 rows = (full_cache.dist[i, train], full_cache.logdens[i, train])
             pred = predict(fit, x[i], shapes[i], shapes_tr, x_tr, spec,
-                           bundle.backend, query_rows=rows)
+                           backend, query_rows=rows)
             if logistic:
                 out.append((i, 1 if pred > 0.5 else 0, (1.0 - pred, pred)))
             else:
                 out.append((i, pred.category, pred.probs))
         return out
 
-    classes = [0, 1] if model == "logistic" else [1, 2, 3]
-    return run_folds(bundle, model, spec.bandwidth, y, classes, fit_fold)
+    def fit_folds(folds):
+        results = [None] * len(folds)
+        by_size: dict[int, list[int]] = {}
+        for f, (_, train) in enumerate(folds):
+            by_size.setdefault(len(train), []).append(f)
+        for n, members in by_size.items():
+            per_stack = max(1, STACK_WEIGHTS // (n * n))
+            for first in range(0, len(members), per_stack):
+                part = members[first:first + per_stack]
+                trains = np.array([folds[f][1] for f in part])
+                fits = fit_stack(model, y[trains], x[trains], weights(trains),
+                                 spec, cfg)
+                for f, fit in zip(part, fits):
+                    results[f] = (fit.status, None if fit.status == "diverged"
+                                  else predict_held(fit, *folds[f]))
+        return results
+
+    classes = [0, 1] if logistic else [1, 2, 3]
+    return run_folds(bundle, model, spec.bandwidth, y, classes, fit_folds)
 
 
 def bandwidth_sweep(bundle, model: str, grid, cfg: FitConfig | None = None,
@@ -190,4 +251,5 @@ def bandwidth_sweep(bundle, model: str, grid, cfg: FitConfig | None = None,
             merged.predictions.extend(rep.predictions)
             merged.confusion.update(rep.confusion)
             merged.skipped_folds.update(rep.skipped_folds)
+            merged.fit_status.update(rep.fit_status)
     return merged

@@ -96,18 +96,26 @@ def _log_weights(dist, logdens, spec: KernelSpec) -> NDArray[np.floating]:
 
 
 def _normalised(logw: NDArray, query) -> NDArray[np.floating]:
-    """Rows of normalised weights from log weights, max-shifted per row."""
+    """Rows of normalised weights from log weights, max-shifted per row.
+
+    Works in place: ``logw``, a float array the caller hands over, is
+    overwritten with the weights and returned.
+    """
     shift = logw.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(shift)):
         raise BandwidthTooSmallError(query)
-    w = np.exp(logw - shift)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.exp(np.subtract(logw, shift, out=logw), out=logw)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _weighted_average(w: NDArray, targets: NDArray) -> NDArray[np.floating]:
+    """``w @ targets`` for one row of weights ``(n,)`` over targets ``(n, L)``,
+    a matrix ``(m, n)`` of them, or a stack ``(G, m, n)`` over ``(G, n, L)``."""
     # Averaging deviations from the column mean keeps constant targets exact.
-    tbar = targets.mean(axis=0)
-    return tbar + w @ (targets - tbar)
+    tbar = targets.mean(axis=-2, keepdims=True)
+    out = tbar + w @ (targets - tbar)
+    return out[0] if w.ndim == 1 else out
 
 
 def _as_targets(targets) -> tuple[NDArray[np.floating], bool]:
@@ -197,6 +205,9 @@ def normalised_weight_matrix(cache: SmootherCache, spec: KernelSpec) -> NDArray:
 
 
 def apply_weights(w: NDArray, targets) -> NDArray[np.floating]:
+    """Smooth ``targets`` with weights from :func:`normalised_weight_matrix`;
+    a stack of weights ``(G, n, n)`` smooths a stack of targets ``(G, n, L)``,
+    each slice as it would alone."""
     t, squeeze = _as_targets(targets)
     out = _weighted_average(w, t)
     return out[:, 0] if squeeze else out

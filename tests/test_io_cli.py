@@ -19,7 +19,7 @@ from shapegplm import (
     write_landmarks,
 )
 from shapegplm.cli import main, parse_bandwidth
-from shapegplm.geometry import MATRIX_BUILD_COUNTS
+from shapegplm.geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend
 from shapegplm.io import load_model_state
 
 from conftest import MACAQUE_MANIFEST, random_configuration
@@ -200,6 +200,23 @@ class TestCli:
         for ln in lines[1:]:
             rid, pred, prob = ln.split(",")
             assert pred == ("1" if rid.startswith("f") else "0")
+
+    def test_predict_measures_no_query_pairs(self, rng, tmp_path, monkeypatch):
+        train = write_tiny_dataset(rng, tmp_path / "train", n=8)
+        query = write_tiny_dataset(rng, tmp_path / "query", n=5)
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(train), "--model", "logistic",
+                     "--h", "0.3", "--out", str(out)]) == 0
+        builds = []
+        pairwise = KendallShapeBackend.pairwise_matrices
+        monkeypatch.setattr(KendallShapeBackend, "pairwise_matrices",
+                            lambda *a, **k: builds.append(1) or pairwise(*a, **k))
+        assert main(["predict", "--fit", str(out / "fit_state.json"),
+                     "--input", str(query), "--out", str(tmp_path / "p")]) == 0
+        assert builds == []  # the training cache was hit; the query needs none
+        assert not (query.parent / ".shapegplm-cache").exists()
+        lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == [f"t{i}" for i in range(5)]
 
     def test_predict_rejects_gaussian_fit_before_ingest(self, tmp_path, capsys,
                                                         monkeypatch):
