@@ -14,6 +14,7 @@ from .errors import (
     DegenerateDatasetError,
     DivergenceError,
     IllConditionedError,
+    InputFileError,
     InvalidArgumentError,
     NonConvergenceError,
     OutOfChartError,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as dio
 from .baselines import baseline_loocv
-from .errors import ShapeGplmError
+from .errors import InputFileError, ShapeGplmError
 from .models import (
     FIT_STATUSES,
     FitConfig,
@@ -234,13 +234,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (InputFileError, OSError) as exc:
+        print(f"shapegplm {args.command}: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except ShapeGplmError as exc:
         print(f"shapegplm {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return NUMERIC_EXIT
-    except OSError as exc:
-        print(f"shapegplm {args.command}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ class InvalidArgumentError(ShapeGplmError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class InputFileError(InvalidArgumentError):
+    """A manifest, landmark or fit-state file is malformed; the message
+    names the file."""
+
+
 class DegenerateConfigurationError(InvalidArgumentError):
     """All landmarks coincide; the configuration carries no shape."""
 

@@ -149,57 +149,58 @@ def preshape(x) -> ShapeSample:
 _CHORD_SWITCH = 0.999  # cos(rho) above which the chord evaluation takes over
 
 
-def _align_and_sum(z1: NDArray, z2: NDArray):
-    """Signed singular-value sum of ``z1^T z2`` and the SO(m) rotation that
-    realises it.
+def _align(za: NDArray, zb: NDArray):
+    """Optimal rotations of a stack of preshape pairs: the Procrustes kernel.
 
-    ``s`` is the sum of the square roots of the eigenvalues of
-    ``z1^T z2 z2^T z1`` with the smallest negated exactly when
-    ``det(z1^T z2) < 0``; ``R`` maximises ``<z1, z2 R>`` over rotations
-    (reflections never allowed), and that maximum equals ``s``.
+    ``za`` and ``zb`` are ``(P, k-1, m)`` stacks (``za`` may be a broadcast
+    view). For each pair, ``s`` is the sum of the singular values of
+    ``zb^T za``, the smallest negated exactly when ``det(zb^T za) < 0``, and
+    ``R`` is the SO(m) rotation maximising ``<za, zb R>`` (reflections never
+    allowed); that maximum equals ``s``. Every step runs on the whole stack
+    and does, per pair, the arithmetic of the one-pair evaluation, so a pair
+    gives the same bits alone or in any stack.
     """
-    c = z2.T @ z1
+    c = np.matmul(zb.transpose(0, 2, 1), za)
     u, lam, vt = np.linalg.svd(c)
-    det_sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-    s = float(lam.sum() if det_sign >= 0 else lam.sum() - 2.0 * lam[-1])
-    flip = np.ones(c.shape[0])
-    flip[-1] = det_sign if det_sign != 0 else 1.0
-    rotation = (u * flip) @ vt
-    return s, rotation
+    flip = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    # 1 - flip is exactly 0 or 2: the one-pair sum, less 2 lam[-1] if reflected
+    s = lam.sum(axis=1) - (1.0 - flip) * lam[:, -1]
+    u[:, :, -1] *= flip[:, None]
+    return s, np.matmul(u, vt)
+
+
+def _geodesic(za: NDArray, zb: NDArray, s: NDArray, rotation: NDArray) -> NDArray:
+    """Shape distances of aligned pairs from their :func:`_align` output.
+
+    Evaluates ``arcsin(sqrt(1 - s^2))``. Near ``s = 1`` that expression loses
+    half the working precision (the subtraction leaves an O(sqrt(eps)) floor),
+    so the same angle is then taken from the chord after optimal alignment,
+    ``2 arcsin(||za - zb R|| / 2)``, which is exact to full precision for
+    small separations.
+    """
+    s = np.minimum(np.maximum(s, -1.0), 1.0)   # keeps 1 - s^2 within [0, 1]
+    rho = np.arcsin(np.sqrt(1.0 - s * s))
+    near = np.flatnonzero(s > _CHORD_SWITCH)
+    if near.size:
+        resid = (za[near] - np.matmul(zb[near], rotation[near])).reshape(near.size, -1)
+        # the norm as a per-pair dot product, as np.linalg.norm takes it
+        chord = 0.5 * np.sqrt(np.matmul(resid[:, None, :], resid[:, :, None]).ravel())
+        rho[near] = 2.0 * np.arcsin(np.minimum(chord, 1.0))
+    return rho
+
+
+def _distances(za: NDArray, zb: NDArray) -> NDArray:
+    """Shape distance of each pair of two ``(P, k-1, m)`` preshape stacks;
+    equal preshapes are exactly 0 apart."""
+    rho = _geodesic(za, zb, *_align(za, zb))
+    rho[np.all(za == zb, axis=(1, 2))] = 0.0
+    return rho
 
 
 def _check_same_shape(a: PreShape, b: PreShape):
     if a.z.shape != b.z.shape:
         raise InvalidArgumentError(
             f"preshape dimension mismatch: {a.z.shape} vs {b.z.shape}")
-
-
-def _distance_from_sum(s: float) -> float:
-    s = min(max(s, -1.0), 1.0)
-    arg = 1.0 - s * s
-    if arg < 0.0:
-        arg = 0.0
-    elif arg > 1.0:
-        arg = 1.0
-    return float(np.arcsin(np.sqrt(arg)))
-
-
-def _distance_pair(z1: NDArray, z2: NDArray) -> float:
-    """Shape distance between two raw preshape arrays.
-
-    Evaluates ``arcsin(sqrt(1 - s^2))``. Near ``s = 1`` that expression loses
-    half the working precision (the subtraction leaves an O(sqrt(eps)) floor),
-    so the same angle is then taken from the chord after optimal alignment,
-    ``2 arcsin(||z1 - z2 R|| / 2)``, which is exact to full precision for
-    small separations.
-    """
-    if z1 is z2 or np.array_equal(z1, z2):
-        return 0.0
-    s, rotation = _align_and_sum(z1, z2)
-    if s <= _CHORD_SWITCH:
-        return _distance_from_sum(s)
-    chord = 0.5 * np.linalg.norm(z1 - z2 @ rotation)
-    return float(2.0 * np.arcsin(min(chord, 1.0)))
 
 
 def procrustes_distance(a: PreShape, b: PreShape) -> float:
@@ -213,7 +214,7 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     ``arccos(s)``; the range is capped at pi/2 either way.
     """
     _check_same_shape(a, b)
-    return _distance_pair(a.z, b.z)
+    return float(_distances(a.z[None], b.z[None])[0])
 
 
 def density_exponent(k: int, m: int) -> int:
@@ -273,12 +274,11 @@ def procrustes_mean(shapes: list[PreShape], tol: float = 1e-9,
         return shapes[0]
     mean = initial if initial is not None else shapes[0]
     _check_same_shape(shapes[0], mean)
+    zs = np.array([s.z for s in shapes])
     for _ in range(max_iter):
-        acc = np.zeros_like(mean.z)
-        for s in shapes:
-            ssum, rotation = _align_and_sum(mean.z, s.z)
-            # optimal similarity fit of s onto the mean scales by <mean, s R>
-            acc += ssum * (s.z @ rotation)
+        ssum, rotation = _align(np.broadcast_to(mean.z, zs.shape), zs)
+        # optimal similarity fit of each shape onto the mean scales by <mean, s R>
+        acc = np.add.reduce(ssum[:, None, None] * np.matmul(zs, rotation), axis=0)
         acc /= len(shapes)
         norm = np.linalg.norm(acc)
         if norm <= 0.0:
@@ -302,16 +302,14 @@ def tangent_coordinates(pole: PreShape, s: PreShape) -> NDArray[np.floating]:
     _check_same_shape(pole, s)
     if pole.z is s.z or np.array_equal(pole.z, s.z):
         return np.zeros(pole.z.size)
-    ssum, rotation = _align_and_sum(pole.z, s.z)
-    zs = s.z @ rotation
-    cosr = min(max(ssum, -1.0), 1.0)
-    if cosr > _CHORD_SWITCH:
-        rho = float(2.0 * np.arcsin(min(0.5 * np.linalg.norm(pole.z - zs), 1.0)))
-    else:
-        rho = _distance_from_sum(cosr)
+    za, zb = pole.z[None], s.z[None]
+    ssum, rotation = _align(za, zb)
+    rho = float(_geodesic(za, zb, ssum, rotation)[0])
+    cosr = min(max(float(ssum[0]), -1.0), 1.0)
     if cosr <= 0.0 or rho >= np.pi / 2:
         raise OutOfChartError(
             f"shape at distance {rho:.6f} >= pi/2 from the pole")
+    zs = s.z @ rotation[0]
     resid = zs - cosr * pole.z
     rnorm = np.linalg.norm(resid)
     if rnorm < 1e-300:
@@ -370,32 +368,39 @@ class KendallShapeBackend:
     def log_density_at(self, rho) -> NDArray[np.floating]:
         return log_density_from_distance(rho, self.k, self.m)
 
-    def pairwise_matrices(self, points: list[PreShape],
-                          count_label: str | None = None):
-        """Distance and log-density matrices over a point list.
-
-        Both are symmetric with exactly zero diagonals. ``count_label``
-        increments the process-wide build counter for cache instrumentation.
-        """
+    def _stack(self, points: list[PreShape]) -> NDArray:
+        """The preshapes of ``points`` as one ``(n, k-1, m)`` array."""
         for s in points:
             if (s.k, s.m) != (self.k, self.m):
                 raise InvalidArgumentError(
                     f"point of dimension (k={s.k}, m={s.m}) does not match "
                     f"backend {self.description}")
+        # the reshape gives an empty list its (0, k-1, m) shape too
+        return np.array([s.z for s in points]).reshape(len(points), self.k - 1, self.m)
+
+    def pairwise_matrices(self, points: list[PreShape],
+                          count_label: str | None = None):
+        """Distance and log-density matrices over a point list.
+
+        Both are symmetric with exactly zero diagonals. Row ``i`` is measured
+        against the points after it in one kernel call. ``count_label``
+        increments the process-wide build counter for cache instrumentation.
+        """
+        z = self._stack(points)
         _count_build(count_label)
         n = len(points)
         dist = np.zeros((n, n))
-        for i in range(n):
-            zi = points[i].z
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = _distance_pair(zi, points[j].z)
+        for i in range(n - 1):
+            rest = z[i + 1:]
+            dist[i, i + 1:] = dist[i + 1:, i] = _distances(
+                np.broadcast_to(z[i], rest.shape), rest)
         logdens = self.log_density_at(dist)
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
 
     def distances_to(self, query: PreShape, points: list[PreShape]) -> NDArray:
-        zq = query.z
-        return np.array([_distance_pair(zq, s.z) for s in points])
+        z = self._stack([query, *points])
+        return _distances(np.broadcast_to(z[0], z[1:].shape), z[1:])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidArgumentError
+from .errors import InputFileError
 from .geometry import KendallShapeBackend, ShapeSample, preshape
 from .models import GplmFit
 from .smoothing import SmootherCache
@@ -40,21 +40,29 @@ __all__ = ["read_landmarks", "write_landmarks", "DatasetManifest",
            "write_cv_csv"]
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of an input file; an unreadable one raises ``OSError`` and one
+    that is not text raises :class:`InputFileError`, both naming the file."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{what} {path} is not text: {exc}") from exc
+
+
 def read_landmarks(path) -> NDArray[np.floating]:
     """Read one ``k x m`` configuration from a landmark text file."""
     path = Path(path)
-    try:
-        lines = [ln for ln in path.read_text().splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise OSError(f"cannot read landmark file {path}: {exc}") from exc
+    lines = [ln for ln in _read_text(path, "landmark file").splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
     try:
         k, m = (int(tok) for tok in lines[0].split())
         rows = [[float(tok) for tok in ln.split()] for ln in lines[1:k + 1]]
     except (ValueError, IndexError) as exc:
-        raise InvalidArgumentError(f"malformed landmark file {path}: {exc}") from exc
+        raise InputFileError(f"malformed landmark file {path}: {exc}") from exc
     if len(rows) != k or any(len(r) != m for r in rows):
-        raise InvalidArgumentError(
+        raise InputFileError(
             f"landmark file {path} promises {k} x {m} but delivers otherwise")
     return np.asarray(rows, dtype=float)
 
@@ -97,11 +105,7 @@ def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     declared = None
     rows = []
-    try:
-        raw = path.read_text().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read manifest {path}: {exc}") from exc
-    for ln in raw:
+    for ln in _read_text(path, "manifest").splitlines():
         stripped = ln.strip()
         if not stripped:
             continue
@@ -112,12 +116,12 @@ def read_manifest(path) -> DatasetManifest:
             continue
         rows.append(ln)
     if not rows:
-        raise InvalidArgumentError(f"manifest {path} has no records")
+        raise InputFileError(f"manifest {path} has no records")
     reader = csv.DictReader(rows)
     field_names = [f.strip() for f in (reader.fieldnames or [])]
     required = {"id", "file", "response"}
     if not required <= set(field_names):
-        raise InvalidArgumentError(
+        raise InputFileError(
             f"manifest {path} must have columns id,file,response; got {field_names}")
     cov_names = tuple(f for f in field_names
                       if f not in required and f != "subject")
@@ -128,23 +132,23 @@ def read_manifest(path) -> DatasetManifest:
                for k, v in row.items()}
         rid = row["id"]
         if rid in ids_seen:
-            raise InvalidArgumentError(f"duplicate record id {rid!r} in manifest")
+            raise InputFileError(f"duplicate record id {rid!r} in manifest {path}")
         ids_seen.add(rid)
         try:
             resp = float(row["response"])
             covs = tuple(float(row[c]) for c in cov_names)
         except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(
-                f"non-numeric value in manifest row {rid!r}: {exc}") from exc
+            raise InputFileError(
+                f"non-numeric value in manifest {path} row {rid!r}: {exc}") from exc
         records.append(ManifestRecord(
             id=rid, file=row["file"], response=resp, covariates=covs,
             subject=row.get("subject") or rid))
     if not records:
-        raise InvalidArgumentError(f"manifest {path} has no records")
+        raise InputFileError(f"manifest {path} has no records")
     responses = np.array([r.response for r in records])
     rtype = declared or _infer_response_type(responses)
     if rtype not in ("binary", "ordinal3", "continuous"):
-        raise InvalidArgumentError(f"unknown response type {rtype!r}")
+        raise InputFileError(f"unknown response type {rtype!r} in manifest {path}")
     return DatasetManifest(records=tuple(records), covariate_names=cov_names,
                            response_type=rtype, base_dir=path.parent)
 
@@ -219,9 +223,9 @@ def read_dataset(manifest_path) -> DatasetBundle:
     k, m = configs[0].shape
     for rec, cfg in zip(manifest.records, configs):
         if cfg.shape != (k, m):
-            raise InvalidArgumentError(
-                f"record {rec.id!r} has landmark dimensions {cfg.shape}, "
-                f"expected {(k, m)}")
+            raise InputFileError(
+                f"record {rec.id!r} of manifest {manifest_path} has landmark "
+                f"dimensions {cfg.shape}, expected {(k, m)}")
     samples = [preshape(c) for c in configs]
     ids = [r.id for r in manifest.records]
     backend = KendallShapeBackend(k=k, m=m)
@@ -316,6 +320,7 @@ def write_fit_report(path, fit, bundle, run_config: RunConfig) -> None:
 
 
 _FIT_ARRAYS = ("beta", "phi0", "phi", "g", "z_final")
+_STATE_FIELDS = tuple(f.name for f in fields(GplmFit)) + ("dataset_hash", "manifest")
 
 
 def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
@@ -331,14 +336,28 @@ def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
 
 
 def load_model_state(path) -> tuple[GplmFit, dict]:
-    """The fit stored by :func:`write_model_state`, and the whole record."""
-    state = json.loads(Path(path).read_text())
+    """The fit stored by :func:`write_model_state`, and the whole record.
+
+    A file that is not a JSON object, lacks an entry or holds a value of the
+    wrong kind raises :class:`InputFileError` naming the file.
+    """
     try:
-        values = {f.name: state[f.name] for f in fields(GplmFit)}
-    except KeyError as exc:
-        raise InvalidArgumentError(
-            f"fit state {path} has no {exc} entry; write it again with `fit`") from exc
-    values.update({name: np.asarray(values[name], dtype=float) for name in _FIT_ARRAYS})
+        state = json.loads(_read_text(Path(path), "fit state"))
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"fit state {path} is not JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise InputFileError(f"fit state {path} is not a JSON object")
+    missing = [name for name in _STATE_FIELDS if name not in state]
+    if missing:
+        raise InputFileError(f"fit state {path} has no {missing[0]!r} entry; "
+                             "write it again with `fit`")
+    values = {f.name: state[f.name] for f in fields(GplmFit)}
+    try:
+        values.update({name: np.asarray(values[name], dtype=float) for name in _FIT_ARRAYS})
+        values.update(bandwidth=float(values["bandwidth"]),
+                      iterations=int(values["iterations"]))
+    except (TypeError, ValueError) as exc:
+        raise InputFileError(f"fit state {path} holds a malformed value: {exc}") from exc
     return GplmFit(**values), state
 
 

@@ -301,3 +301,12 @@ class TestBackendMatrices:
         backend = KendallShapeBackend(k=5, m=3)
         with pytest.raises(InvalidArgumentError):
             backend.pairwise_matrices([random_preshape(rng, 7)])
+
+    @pytest.mark.parametrize("k,m", [(7, 3), (5, 2)])
+    def test_distances_to_rejects_mismatched_dimensions(self, rng, k, m):
+        backend = KendallShapeBackend(k=5, m=3)
+        pts = [random_preshape(rng, 5) for _ in range(3)]
+        other = random_preshape(rng, k, m)
+        for query, points in ((other, pts), (pts[0], pts[1:] + [other])):
+            with pytest.raises(InvalidArgumentError, match=r"kendall\(k=5, m=3\)"):
+                backend.distances_to(query, points)

@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -279,6 +280,52 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--no-cache"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["covariate", "landmarks"])
+    def test_malformed_dataset_file_exits_1(self, rng, tmp_path, capsys, damage):
+        root = tmp_path / "ds"
+        manifest = write_tiny_dataset(rng, root)
+        if damage == "covariate":
+            bad = manifest
+            lines = manifest.read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",heavy"
+            manifest.write_text("\n".join(lines) + "\n")
+        else:
+            bad = root / "t2.txt"
+            bad.write_text("5 three\n")
+        code = main(["fit", "--manifest", str(manifest), "--model", "logistic",
+                     "--h", "0.3", "--out", str(tmp_path / "o"), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(bad) in err and "numerical failure" not in err
+
+    @pytest.mark.parametrize("damage", ["no model entry", "not JSON", "not an object",
+                                        "non-numeric slope"])
+    def test_malformed_fit_state_exits_1(self, rng, tmp_path, capsys, damage):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(manifest), "--model", "logistic",
+                     "--h", "0.3", "--out", str(out), "--no-cache"]) == 0
+        state_path = out / "fit_state.json"
+        state = json.loads(state_path.read_text())
+        if damage == "no model entry":
+            del state["model"]
+            state_path.write_text(json.dumps(state))
+        elif damage == "not JSON":
+            state_path.write_text(state_path.read_text()[:40])
+        elif damage == "not an object":
+            state_path.write_text(json.dumps([state]))
+        else:
+            state["beta"] = ["steep"]
+            state_path.write_text(json.dumps(state))
+        capsys.readouterr()
+        code = main(["predict", "--fit", str(state_path), "--input", str(manifest),
+                     "--out", str(tmp_path / "p"), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(state_path) in err and "numerical failure" not in err
+        if damage == "no model entry":
+            assert "'model'" in err
 
 
 class TestModelState:
