@@ -83,55 +83,56 @@ def tangent_pca(shapes: list[PreShape], var_threshold: float = 0.98
     return model, scores
 
 
-def _cumlogit_nll_grad(theta, y_idx, x, K):
-    """Negative log-likelihood and gradient of the proportional-odds model.
+def _cumlogit_nll_grad_hess(theta, y_idx, x, K):
+    """Negative log-likelihood, gradient and Hessian of the proportional-odds
+    model.
 
     Parameters are ``(alpha_1..alpha_{K-1}, beta)`` with
-    ``logit P(y <= k) = alpha_k + x beta``.
+    ``logit P(y <= k) = alpha_k + x beta``. Row ``i`` in category ``j`` has
+    probability ``pi = F(u) - F(l)`` with ``u = alpha_j + eta_i``,
+    ``l = alpha_{j-1} + eta_i`` and ``F`` the logistic function (1 above the
+    top category, 0 below the first, where ``f = F(1-F)`` vanishes). With
+    ``a_u = f(u)/pi`` and ``a_l = f(l)/pi`` the log-likelihood of the row has
+    ``d/du = a_u``, ``d/dl = -a_l``, ``d2/du2 = a_u (1 - 2F(u) - a_u)``,
+    ``d2/dl2 = -a_l (1 - 2F(l) + a_l)`` and ``d2/du dl = a_u a_l``; both
+    derivatives are chained through ``du/dtheta = (e_j, x_i)`` and
+    ``dl/dtheta = (e_{j-1}, x_i)``. ``pi`` is floored at 1e-300, where the
+    Hessian may overflow.
     """
-    n, p = x.shape
-    alpha = theta[:K - 1]
-    beta = theta[K - 1:]
-    eta = x @ beta
+    n = x.shape[0]
+    eta = x @ theta[K - 1:]
+    a = theta[:K - 1] + eta[:, None]
+    e = np.exp(-np.abs(a))
     # cumulative probabilities, padded with 0 and 1
     gam = np.empty((n, K + 1))
     gam[:, 0] = 0.0
     gam[:, K] = 1.0
-    for k in range(1, K):
-        a = alpha[k - 1] + eta
-        gam[:, k] = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                             np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+    gam[:, 1:K] = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     rows = np.arange(n)
-    pi = gam[rows, y_idx + 1] - gam[rows, y_idx]
+    gam_u, gam_l = gam[rows, y_idx + 1], gam[rows, y_idx]
+    pi = gam_u - gam_l
     pi_safe = np.clip(pi, 1e-300, None)
     nll = -np.sum(np.log(pi_safe))
 
-    grad = np.zeros_like(theta)
-    dgam = gam[:, 1:K] * (1.0 - gam[:, 1:K])          # n x (K-1)
     inv_pi = 1.0 / pi_safe
-    for k in range(1, K):
-        upper = (y_idx + 1 == k)
-        lower = (y_idx == k)
-        s = np.zeros(n)
-        s[upper] = inv_pi[upper]
-        s[lower] -= inv_pi[lower]
-        contrib = s * dgam[:, k - 1]
-        grad[k - 1] -= contrib.sum()
-        grad[K - 1:] -= x.T @ contrib
+    a_u = inv_pi * (gam_u * (1.0 - gam_u))
+    a_l = inv_pi * (gam_l * (1.0 - gam_l))
+    category = (y_idx[:, None] == np.arange(K)).astype(float)
+    j_u = np.hstack([category[:, :K - 1], x])
+    j_l = np.hstack([category[:, 1:], x])
+    grad = j_l.T @ a_l - j_u.T @ a_u
+    h_uu = a_u * (1.0 - 2.0 * gam_u - a_u)
+    h_ll = -a_l * (1.0 - 2.0 * gam_l + a_l)
+    h_ul = a_u * a_l
+    hess = -(j_u.T @ (h_uu[:, None] * j_u + h_ul[:, None] * j_l)
+             + j_l.T @ (h_ll[:, None] * j_l + h_ul[:, None] * j_u))
+    return nll, grad, 0.5 * (hess + hess.T)
+
+
+def _cumlogit_nll_grad(theta, y_idx, x, K):
+    """Negative log-likelihood and gradient of the proportional-odds model."""
+    nll, grad, _ = _cumlogit_nll_grad_hess(theta, y_idx, x, K)
     return nll, grad
-
-
-def _fd_hessian(theta, y_idx, x, K, step=1e-5):
-    d = len(theta)
-    H = np.zeros((d, d))
-    for j in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += step
-        tm[j] -= step
-        _, gp = _cumlogit_nll_grad(tp, y_idx, x, K)
-        _, gm = _cumlogit_nll_grad(tm, y_idx, x, K)
-        H[:, j] = (gp - gm) / (2 * step)
-    return 0.5 * (H + H.T)
 
 
 def fit_cumulative_logit(y, x, max_iter: int = 200, grad_tol: float = 1e-9,
@@ -163,25 +164,27 @@ def fit_cumulative_logit(y, x, max_iter: int = 200, grad_tol: float = 1e-9,
 
     cum = np.array([(y <= k).mean() for k in range(1, K)])
     theta = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(p)])
-    nll, grad = _cumlogit_nll_grad(theta, y_idx, x, K)
+    nll, grad, hess = _cumlogit_nll_grad_hess(theta, y_idx, x, K)
     trace = [float(nll)]
 
     for _ in range(max_iter):
         if np.linalg.norm(grad) < grad_tol * max(n, 1):
             break
-        H = _fd_hessian(theta, y_idx, x, K)
-        try:
-            direction = np.linalg.solve(H + 1e-10 * np.eye(len(theta)), grad)
-        except np.linalg.LinAlgError:
-            direction = grad
+        direction = grad
+        if np.all(np.isfinite(hess)):  # an overflowed Hessian falls back too
+            try:
+                direction = np.linalg.solve(hess + 1e-10 * np.eye(len(theta)), grad)
+            except np.linalg.LinAlgError:
+                pass
         step = 1.0
         for _ in range(60):
             cand = theta - step * direction
             alpha = cand[:K - 1]
             if np.all(np.diff(alpha) > 0) or K == 2:
-                cand_nll, cand_grad = _cumlogit_nll_grad(cand, y_idx, x, K)
+                cand_nll, cand_grad, cand_hess = _cumlogit_nll_grad_hess(
+                    cand, y_idx, x, K)
                 if cand_nll < nll:
-                    theta, nll, grad = cand, cand_nll, cand_grad
+                    theta, nll, grad, hess = cand, cand_nll, cand_grad, cand_hess
                     break
             step /= 2.0
         else:
@@ -207,7 +210,7 @@ def fit_cumulative_logit(y, x, max_iter: int = 200, grad_tol: float = 1e-9,
     alpha, beta = theta[:K - 1], theta[K - 1:]
     if not return_cov:
         return alpha, beta
-    cov = np.linalg.inv(_fd_hessian(theta, y_idx, x, K))
+    cov = np.linalg.inv(hess)
     return alpha, beta, cov
 
 

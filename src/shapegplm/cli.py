@@ -174,9 +174,10 @@ def _cmd_predict(args) -> int:
               file=sys.stderr)
         return USAGE_EXIT
     train = dio.ingest(state["manifest"], use_disk_cache=not args.no_cache)
-    if train.content_hash != state["dataset_hash"]:
-        raise ShapeGplmError(
-            "training manifest content changed since the fit was written")
+    if dio.provenance_hash(train) != state["provenance_hash"]:
+        raise InputFileError(
+            f"training data of {state['manifest']} changed since {args.fit} "
+            "was written; run `fit` again")
     query = dio.read_dataset(args.input)
     spec = KernelSpec(bandwidth=fit.bandwidth)
     out = Path(args.out)

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,17 @@ def _as_configuration(x) -> NDArray[np.floating]:
     return x
 
 
+def _coincident(size: float, x: NDArray) -> bool:
+    """Whether the centred size of ``x`` is rounding noise of its coordinates.
+
+    Centring landmarks that all coincide at ``c`` leaves noise of order
+    ``eps |c|`` per coordinate rather than exact zeros; the bound scales with
+    the coordinates, so a configuration counts as one point anywhere in space
+    while a genuine shape at any scale passes.
+    """
+    return size <= x.size * _EPS * np.abs(x).max()
+
+
 def centroid_size(x) -> float:
     """Frobenius norm of the centered configuration.
 
@@ -125,7 +137,7 @@ def centroid_size(x) -> float:
     """
     x = _as_configuration(x)
     size = float(np.linalg.norm(x - x.mean(axis=0)))
-    if size <= 0.0:
+    if _coincident(size, x):
         raise DegenerateConfigurationError(
             "all landmarks coincide; centroid size is zero")
     return size
@@ -140,7 +152,7 @@ def preshape(x) -> ShapeSample:
     H = helmert_submatrix(x.shape[0])
     xh = H @ x
     size = float(np.linalg.norm(xh))
-    if size <= 0.0:
+    if _coincident(size, x):
         raise DegenerateConfigurationError(
             "all landmarks coincide; configuration has no shape")
     return ShapeSample(preshape=PreShape(xh / size), size=size)

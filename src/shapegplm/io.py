@@ -29,13 +29,14 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InputFileError
+from .errors import DegenerateConfigurationError, InputFileError
 from .geometry import KendallShapeBackend, ShapeSample, preshape
 from .models import GplmFit
 from .smoothing import SmootherCache
 
 __all__ = ["read_landmarks", "write_landmarks", "DatasetManifest",
-           "ManifestRecord", "DatasetBundle", "read_dataset", "ingest", "RunConfig",
+           "ManifestRecord", "DatasetBundle", "read_dataset", "ingest",
+           "provenance_hash", "RunConfig",
            "write_fit_report", "write_model_state", "load_model_state",
            "write_cv_csv"]
 
@@ -192,6 +193,22 @@ def _content_hash(samples: list[ShapeSample], ids: list[str],
     return digest.hexdigest()
 
 
+def provenance_hash(bundle: DatasetBundle) -> str:
+    """Hash of every training input a saved fit depends on.
+
+    Covers the content hash (ids, preshapes, backend) together with the
+    response, the covariates, their names and the response type, which
+    ``predict`` reuses from the training manifest. The distance cache stays
+    keyed by the content hash alone.
+    """
+    digest = hashlib.sha256(bundle.content_hash.encode())
+    digest.update(json.dumps([list(bundle.covariate_names), bundle.response_type,
+                              list(bundle.x.shape)]).encode())
+    digest.update(np.ascontiguousarray(bundle.y, dtype=float).tobytes())
+    digest.update(np.ascontiguousarray(bundle.x, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 def _write_atomically(path: Path, **arrays) -> None:
     """``np.savez`` to ``path`` through a temporary file in the same
     directory, so a reader never sees a partly written cache."""
@@ -214,19 +231,19 @@ def read_dataset(manifest_path) -> DatasetBundle:
     naming the offending record.
     """
     manifest = read_manifest(manifest_path)
-    configs = []
-    for rec in manifest.records:
-        fpath = Path(rec.file)
-        if not fpath.is_absolute():
-            fpath = manifest.base_dir / fpath
-        configs.append(read_landmarks(fpath))
+    paths = [manifest.base_dir / rec.file for rec in manifest.records]
+    configs = [read_landmarks(fpath) for fpath in paths]
     k, m = configs[0].shape
-    for rec, cfg in zip(manifest.records, configs):
+    samples = []
+    for rec, fpath, cfg in zip(manifest.records, paths, configs):
         if cfg.shape != (k, m):
             raise InputFileError(
                 f"record {rec.id!r} of manifest {manifest_path} has landmark "
                 f"dimensions {cfg.shape}, expected {(k, m)}")
-    samples = [preshape(c) for c in configs]
+        try:
+            samples.append(preshape(cfg))
+        except DegenerateConfigurationError as exc:
+            raise InputFileError(f"landmark file {fpath}: {exc}") from exc
     ids = [r.id for r in manifest.records]
     backend = KendallShapeBackend(k=k, m=m)
     x = np.array([r.covariates for r in manifest.records], dtype=float)
@@ -320,16 +337,19 @@ def write_fit_report(path, fit, bundle, run_config: RunConfig) -> None:
 
 
 _FIT_ARRAYS = ("beta", "phi0", "phi", "g", "z_final")
-_STATE_FIELDS = tuple(f.name for f in fields(GplmFit)) + ("dataset_hash", "manifest")
+_STATE_FIELDS = tuple(f.name for f in fields(GplmFit)) + (
+    "dataset_hash", "provenance_hash", "manifest")
 
 
 def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
     """Machine-readable companion of the fit report: every field of the fit,
     which :func:`load_model_state` turns back into the same fit, plus the
-    dataset hash and manifest that ``predict`` checks and reads."""
+    dataset and provenance hashes and the manifest that ``predict`` reads and
+    checks against."""
     state = {f.name: getattr(fit, f.name) for f in fields(fit)}
     state.update({name: state[name].tolist() for name in _FIT_ARRAYS})
     state.update(dataset_hash=bundle.content_hash,
+                 provenance_hash=provenance_hash(bundle),
                  manifest=str(run_config.manifest),
                  irls_variant=run_config.irls_variant)
     Path(path).write_text(json.dumps(state, indent=2) + "\n")

@@ -65,6 +65,23 @@ class TestCentroidSizeAndPreshape:
         with pytest.raises(DegenerateConfigurationError):
             preshape(np.ones((4, 3)))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_coincident_landmarks_off_the_origin(self, offset):
+        # the Helmert transform of seven copies of (1, 1, 1) leaves a size of
+        # rounding noise rather than zero
+        x = np.ones((7, 3)) + offset
+        assert 0.0 < np.linalg.norm(helmert_submatrix(7) @ x) < 1e-8
+        with pytest.raises(DegenerateConfigurationError):
+            centroid_size(x)
+        with pytest.raises(DegenerateConfigurationError):
+            preshape(x)
+
+    def test_tiny_configuration_keeps_its_shape(self, rng):
+        x = random_configuration(rng)
+        tiny = preshape(1e-10 * x)
+        np.testing.assert_allclose(tiny.preshape.z, preshape(x).preshape.z, atol=1e-12)
+        assert tiny.size == pytest.approx(1e-10 * centroid_size(x), rel=1e-12)
+
     def test_unit_norm_and_similarity_invariance(self, rng):
         for _ in range(20):
             x = random_configuration(rng)

@@ -299,6 +299,40 @@ class TestCli:
         assert code == 1
         assert str(bad) in err and "numerical failure" not in err
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_coincident_landmarks_exit_1(self, rng, tmp_path, capsys, offset):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+        bad = manifest.parent / "t3.txt"
+        write_landmarks(bad, np.ones((5, 3)) + offset)
+        code = main(["distances", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o"), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(bad) in err and "coincide" in err
+
+    @pytest.mark.parametrize("edit", ["covariate", "response", "covariate name"])
+    def test_predict_rejects_edited_training_data(self, rng, tmp_path, capsys, edit):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(manifest), "--model", "logistic",
+                     "--h", "0.3", "--out", str(out)]) == 0
+        lines = manifest.read_text().splitlines()
+        rid, file, response, cov = lines[3].split(",")
+        if edit == "covariate":
+            lines[3] = ",".join([rid, file, response, f"{float(cov) + 0.5:.6f}"])
+        elif edit == "response":
+            lines[3] = ",".join([rid, file, str(1 - int(response)), cov])
+        else:
+            lines[1] = lines[1].replace(",cov", ",dose")
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--fit", str(out / "fit_state.json"),
+                     "--input", str(manifest), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(manifest) in err and "changed" in err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
     @pytest.mark.parametrize("damage", ["no model entry", "not JSON", "not an object",
                                         "non-numeric slope"])
     def test_malformed_fit_state_exits_1(self, rng, tmp_path, capsys, damage):
