@@ -38,17 +38,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_bandwidth(text: str) -> float:
-    """Accept plain decimals and the literal form ``pi/<denominator>``."""
+    """Accept positive plain decimals and the literal form
+    ``pi/<denominator>``."""
     t = text.strip().lower()
     try:
         if t.startswith("pi/"):
-            return float(np.pi) / float(t[3:])
-        if t == "pi":
-            return float(np.pi)
-        return float(t)
+            h = float(np.pi) / float(t[3:])
+        else:
+            h = float(np.pi) if t == "pi" else float(t)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"invalid bandwidth {text!r}; use a decimal or pi/<denominator>")
+    if not 0 < h < np.inf:
+        raise argparse.ArgumentTypeError(f"bandwidth must be positive, got {text!r}")
+    return h
+
+
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds for it."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it for a malformed value
+    return parse
+
+
+positive_float = _checked(float, lambda v: 0 < v < np.inf, "positive")
+nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "nonnegative")
+positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+unit_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -70,9 +90,9 @@ def _build_parser() -> _Parser:
                        help="disable the on-disk distance cache")
 
     def solver(p):
-        p.add_argument("--threshold", type=float, default=2e-4)
-        p.add_argument("--max-iter", type=int, default=1000)
-        p.add_argument("--ridge", type=float, default=1e-8)
+        p.add_argument("--threshold", type=positive_float, default=2e-4)
+        p.add_argument("--max-iter", type=positive_int, default=1000)
+        p.add_argument("--ridge", type=nonnegative_float, default=1e-8)
         p.add_argument("--irls-variant", choices=["paper", "standard"],
                        default="paper")
 
@@ -102,7 +122,7 @@ def _build_parser() -> _Parser:
 
     p_base = sub.add_parser("baseline", help="tangent-PCA cumulative-logit LOOCV")
     common(p_base)
-    p_base.add_argument("--var-threshold", type=float, default=0.98)
+    p_base.add_argument("--var-threshold", type=unit_fraction, default=0.98)
 
     return parser
 

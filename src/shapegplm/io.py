@@ -209,14 +209,18 @@ def provenance_hash(bundle: DatasetBundle) -> str:
     return digest.hexdigest()
 
 
-def _write_atomically(path: Path, **arrays) -> None:
-    """``np.savez`` to ``path`` through a temporary file in the same
-    directory, so a reader never sees a partly written cache."""
+def _write_atomically(path: Path, data: bytes | None = None, **arrays) -> None:
+    """Write ``data``, or else ``np.savez`` of ``arrays``, to ``path`` through
+    a temporary file in the same directory, so a reader never sees a partly
+    written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, **arrays)
+            if data is None:
+                np.savez(fh, **arrays)
+            else:
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -345,14 +349,15 @@ def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
     """Machine-readable companion of the fit report: every field of the fit,
     which :func:`load_model_state` turns back into the same fit, plus the
     dataset and provenance hashes and the manifest that ``predict`` reads and
-    checks against."""
+    checks against. Written like the distance cache, through a temporary
+    file, so a crashed or concurrent ``fit`` leaves a whole state behind."""
     state = {f.name: getattr(fit, f.name) for f in fields(fit)}
     state.update({name: state[name].tolist() for name in _FIT_ARRAYS})
     state.update(dataset_hash=bundle.content_hash,
                  provenance_hash=provenance_hash(bundle),
                  manifest=str(run_config.manifest),
                  irls_variant=run_config.irls_variant)
-    Path(path).write_text(json.dumps(state, indent=2) + "\n")
+    _write_atomically(Path(path), (json.dumps(state, indent=2) + "\n").encode())
 
 
 def load_model_state(path) -> tuple[GplmFit, dict]:

@@ -146,15 +146,16 @@ def _check_inputs(y, x, n: int, dtype=float):
 
 def _solve(A: NDArray, b: NDArray, ridge: float) -> NDArray[np.floating]:
     """``A x = b`` for one ``p x p`` system or a stack ``(G, p, p)``."""
-    A = A + ridge * np.eye(A.shape[-1])
     if A.shape[-1] == 1:
-        if (A[..., 0, 0] == 0.0).any():
+        a = A[..., 0] + ridge  # ridge * eye(1), added without building it
+        if (a == 0.0).any():
             raise IllConditionedError(
                 f"normal equations singular even after ridge {ridge:g}")
-        sol = b / A[..., 0]
+        sol = b / a
     else:
         try:
-            sol = np.linalg.solve(A, b[..., None])[..., 0]
+            sol = np.linalg.solve(A + ridge * np.eye(A.shape[-1]),
+                                  b[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"normal equations singular even after ridge {ridge:g}") from exc
@@ -164,12 +165,12 @@ def _solve(A: NDArray, b: NDArray, ridge: float) -> NDArray[np.floating]:
 
 
 def _expit(eta: NDArray) -> NDArray[np.floating]:
-    out = np.empty_like(eta)
+    """``1/(1+exp(-eta))`` where ``eta >= 0`` and ``e/(1+e)`` with
+    ``e = exp(eta)`` elsewhere, so that no exponent is positive."""
     pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.where(pos, -eta, eta))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, np.divide(e, d, out=e))
 
 
 def _softplus(u: NDArray) -> NDArray[np.floating]:
@@ -206,7 +207,7 @@ def _binary_deviance_mean(y: NDArray, eta: NDArray):
     """Mean of -[y log p + (1-y) log(1-p)] over the last axis, computed
     stably from eta."""
     sign = np.where(y > 0.5, 1.0, -1.0)
-    return np.mean(_softplus(-sign * eta), axis=-1)
+    return np.add.reduce(_softplus(-sign * eta), axis=-1) / eta.shape[-1]
 
 
 def _row_norms(v: NDArray) -> NDArray[np.floating]:
@@ -324,15 +325,15 @@ def _logistic(y: NDArray, cfg: FitConfig):
 
     def step(data, eta, pr):
         y, = data
-        pc = np.clip(pr, eps, 1.0 - eps)
+        pc = np.minimum(np.maximum(pr, eps), 1.0 - eps)
         w = pc * (1.0 - pc)
         return (_binary_deviance_mean(y, eta[..., 0]),
-                eta + (y[..., None] - pc) / w, (w[..., 0],))
+                eta + (y[..., None] - pc) / w, (w,))
 
     def normal(xc, weights, r):
         w, = weights
         xt = xc.swapaxes(-1, -2)
-        return xt @ (w[..., None] * xc), (xt @ (w * r[..., 0])[..., None])[..., 0]
+        return xt @ (w * xc), (xt @ (w * r))[..., 0]
 
     return np.full(y.shape + (1,), -0.5), (y,), step, normal
 
@@ -439,9 +440,12 @@ def _ordinal_category_probs(gam: NDArray) -> NDArray[np.floating]:
 
 
 def _ordinal_deviance_mean(y_idx: NDArray, pimat: NDArray):
-    pobs = pimat.reshape(-1, 3)[np.arange(y_idx.size), y_idx.ravel()]
-    pobs = pobs.reshape(y_idx.shape)
-    return -np.mean(np.log(np.clip(pobs, 1e-300, None)), axis=-1)
+    """Mean of ``-log pi`` of the observed categories ``y_idx`` (0-based)
+    over the last axis; ``pimat`` is the contiguous ``y_idx.shape + (3,)``
+    array from :func:`_ordinal_category_probs`."""
+    pobs = pimat.take(np.arange(0, pimat.size, 3).reshape(y_idx.shape) + y_idx)
+    return -(np.add.reduce(np.log(np.maximum(pobs, 1e-300, out=pobs)), axis=-1)
+             / y_idx.shape[-1])
 
 
 def _ordinal(y: NDArray, cfg: FitConfig):
@@ -460,14 +464,17 @@ def _ordinal(y: NDArray, cfg: FitConfig):
     def step(data, eta, gam):
         Y, y_idx = data
         pimat = _ordinal_category_probs(gam)
-        picl = np.clip(pimat, eps, 1.0 - eps)
-        gamc = np.clip(gam, eps, 1.0 - eps)
+        deviance = _ordinal_deviance_mean(y_idx, pimat)
+        # clipped in place: the deviance above took the unclipped values
+        picl = np.minimum(np.maximum(pimat, eps, out=pimat), 1.0 - eps, out=pimat)
+        p1, p2, p3 = picl[..., 0], picl[..., 1], picl[..., 2]
+        gamc = np.minimum(np.maximum(gam, eps), 1.0 - eps)
         dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
         resid = Y - gamc
         # inverse indicator covariance, elementwise over subjects
-        W11 = (1.0 - picl[..., 2]) / (picl[..., 0] * picl[..., 1])
-        W12 = -1.0 / picl[..., 1]
-        W22 = (1.0 - picl[..., 0]) / (picl[..., 2] * picl[..., 1])
+        W11 = (1.0 - p3) / (p1 * p2)
+        W12 = -1.0 / p2
+        W22 = (1.0 - p1) / (p3 * p2)
         if cfg.irls_variant == "paper":
             z = eta + dlink * resid
         else:
@@ -475,7 +482,7 @@ def _ordinal(y: NDArray, cfg: FitConfig):
             W11 = dlink[..., 0] * W11 * dlink[..., 0]
             W12 = dlink[..., 0] * W12 * dlink[..., 1]
             W22 = dlink[..., 1] * W22 * dlink[..., 1]
-        return _ordinal_deviance_mean(y_idx, pimat), z, (W11, W12, W22)
+        return deviance, z, (W11, W12, W22)
 
     def normal(xc, W, r):
         W11, W12, W22 = W

@@ -8,10 +8,12 @@ subsetting differs per fold.
 
 The fold fits of :func:`loocv` run as stacks through
 :func:`shapegplm.models.fit_stack`: folds whose training sets have the same
-size are fitted together, at most :data:`STACK_WEIGHTS` smoother weights at a
-time, and each stack's held-out rows are predicted as soon as it is fitted.
-Every fold's fit is the one it would get alone, so the report does not depend
-on how the folds are stacked.
+size are fitted together, at most :data:`STACK_WEIGHTS` smoother weights
+(1 MiB) at a time, and each stack's held-out rows are predicted as soon as it
+is fitted. A sweep's cost is mostly a fixed number of numpy calls, so wider
+stacks are faster; the cap bounds the memory they take. Every fold's fit is
+the one it would get alone, so the report does not depend on how the folds
+are stacked.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from .smoothing import (
 __all__ = ["CvReport", "SubjectPrediction", "run_folds", "loocv",
            "bandwidth_sweep", "STACK_WEIGHTS"]
 
-# Most smoother weights (float64) in one stack of fold fits: 512 KiB.
-STACK_WEIGHTS = 2 ** 16
+# Most smoother weights (float64) in one stack of fold fits: 1 MiB, e.g. 16
+# folds of 88 training rows.
+STACK_WEIGHTS = 2 ** 17
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,14 @@ def _weighted_average(w: NDArray, targets: NDArray) -> NDArray[np.floating]:
     """``w @ targets`` for one row of weights ``(n,)`` over targets ``(n, L)``,
     a matrix ``(m, n)`` of them, or a stack ``(G, m, n)`` over ``(G, n, L)``."""
     # Averaging deviations from the column mean keeps constant targets exact.
-    tbar = targets.mean(axis=-2, keepdims=True)
+    tbar = np.add.reduce(targets, axis=-2, keepdims=True) / targets.shape[-2]
     out = tbar + w @ (targets - tbar)
     return out[0] if w.ndim == 1 else out
 
 
 def _as_targets(targets) -> tuple[NDArray[np.floating], bool]:
     t = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise InvalidArgumentError("targets contain non-finite values")
     if t.ndim == 1:
         return t[:, None], True

@@ -19,6 +19,7 @@ from shapegplm import (
     read_landmarks,
     write_landmarks,
 )
+from shapegplm import io as dio
 from shapegplm.cli import main, parse_bandwidth
 from shapegplm.geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend
 from shapegplm.io import load_model_state
@@ -266,6 +267,25 @@ class TestCli:
         assert exc.value.code == 1
         assert "--h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "logistic", "--h", "-0.1"],
+        ["fit", "--model", "logistic", "--h", "0.1", "--max-iter", "0"],
+        ["fit", "--model", "logistic", "--h", "0.1", "--threshold", "0"],
+        ["fit", "--model", "logistic", "--h", "0.1", "--ridge", "-1"],
+        ["cv", "--model", "logistic", "--grid", "pi/40,-1"],
+        ["baseline", "--var-threshold", "1.5"],
+    ])
+    def test_out_of_range_option_exits_1(self, tmp_path, capsys, argv):
+        option = argv[-2]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--manifest", str(MACAQUE_MANIFEST), "--no-cache",
+                         "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}:" in err
+        assert "numerical failure" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_numerical_failure_exits_2(self, rng, tmp_path, capsys):
         root = tmp_path / "ds"
         root.mkdir()
@@ -398,6 +418,48 @@ class TestModelState:
             if model == "ordinal":
                 got, want = got.probs, want.probs
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_keeps_the_previous_state(self, tmp_path, monkeypatch,
+                                                   failure):
+        argv = ["fit", "--manifest", str(MACAQUE_MANIFEST), "--model", "logistic",
+                "--out", str(tmp_path), "--no-cache"]
+        assert main(argv + ["--h", "pi/25"]) == 0
+        state = tmp_path / "fit_state.json"
+        before = state.read_bytes()
+
+        if failure == "write":
+            class Torn:
+                """A file that takes half of what it is given, then fails."""
+
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, data):
+                    self.fh.write(data[:len(data) // 2])
+                    raise OSError("no space left on device")
+
+            def torn_open(file, mode="r", *args, **kwargs):
+                fh = open(file, mode, *args, **kwargs)
+                return Torn(fh) if "x" in mode else fh
+
+            monkeypatch.setattr(dio, "open", torn_open, raising=False)
+        else:
+            def no_rename(src, dst):
+                raise OSError("interrupted before the rename")
+
+            monkeypatch.setattr(dio.os, "replace", no_rename)
+        assert main(argv + ["--h", "pi/10"]) == 1
+        monkeypatch.undo()
+        assert state.read_bytes() == before
+        assert load_model_state(state)[0].bandwidth == pytest.approx(np.pi / 25)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_state_without_fit_fields_is_rejected(self, tmp_path):
         path = tmp_path / "fit_state.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ from shapegplm import (
     bandwidth_sweep,
     fit_logistic_plm,
     loocv,
+    selection,
 )
 from shapegplm.io import DatasetBundle
 
 from conftest import sphere_points
+from test_acceptance import synthetic_sphere_ordinal
+from test_stacked_folds import assert_same_report
 
 
 def sphere_bundle(rng, n=30, n_classes=2, subjects=None):
@@ -143,6 +148,62 @@ class TestThreadedFolds:
         assert serial.accuracy[h] == threaded.accuracy[h]
         assert [(p.row_id, p.predicted, p.probs) for p in serial.predictions] == \
             [(p.row_id, p.predicted, p.probs) for p in threaded.predictions]
+
+
+def paired_subjects_bundle(n):
+    """Sphere ordinal data with two rows per subject."""
+    b = synthetic_sphere_ordinal(n=n, seed=7)
+    return DatasetBundle(
+        ids=b.ids, subjects=[f"s{i // 2}" for i in range(n)], y=b.y, x=b.x,
+        covariate_names=b.covariate_names, response_type=b.response_type,
+        samples=b.samples, backend=b.backend, cache=b.cache,
+        content_hash=b.content_hash)
+
+
+class TestStackCap:
+    def test_report_independent_of_a_splitting_cap(self, monkeypatch):
+        bundle = paired_subjects_bundle(42)  # 21 folds of 40 training rows
+        spec = KernelSpec(bandwidth=np.pi / 8)
+        cfg = FitConfig(max_iter=40, irls_variant="standard")
+        fit_stack = selection.fit_stack
+        stacks = []
+
+        def spy(model, y, *args):
+            stacks.append(len(y))
+            return fit_stack(model, y, *args)
+
+        monkeypatch.setattr(selection, "fit_stack", spy)
+        reports = {}
+        for folds_per_stack in (1, 6, 21):
+            monkeypatch.setattr(selection, "STACK_WEIGHTS", folds_per_stack * 40 ** 2)
+            stacks.clear()
+            reports[folds_per_stack] = loocv(bundle, "ordinal", spec, cfg)
+            assert max(stacks) == folds_per_stack
+        assert stacks == [21]
+        monkeypatch.setattr(selection, "STACK_WEIGHTS", 6 * 40 ** 2 + 1)
+        stacks.clear()
+        split = loocv(bundle, "ordinal", spec, cfg)
+        assert len(stacks) >= 3 and stacks[:-1] == [6] * (len(stacks) - 1)
+        assert 0 < stacks[-1] < 6
+        # folds converge or separate early, so stacks shrink while they run
+        assert set(split.fit_status[spec.bandwidth]) == {
+            "converged", "separation", "max_iter"}
+        for report in reports.values():
+            assert_same_report(report, split)
+
+    def test_peak_memory_is_bounded_by_the_cap(self):
+        # Calibrated with a 2^16 cap, where the peak was 1.8 times the cap's
+        # bytes at both bandwidths (1.6 times with 2^17).
+        bundle = paired_subjects_bundle(90)  # 45 folds of 88 training rows
+        for h in (np.pi / 20, np.pi / 80):
+            tracemalloc.start()
+            try:
+                loocv(bundle, "ordinal", KernelSpec(bandwidth=h), FitConfig(max_iter=5))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 3 * selection.STACK_WEIGHTS * 8
+            assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 class TestBandwidthSweep:
