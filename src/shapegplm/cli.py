@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
     p_pred.add_argument("--fit", required=True, help="model state JSON from `fit`")
     p_pred.add_argument("--input", required=True, help="manifest of query rows")
     p_pred.add_argument("--out", default=".", help="output directory")
-    p_pred.add_argument("--no-cache", action="store_true")
+    p_pred.add_argument("--no-cache", action="store_true",
+                        help="no effect: predict reads no distance cache")
 
     p_dist = sub.add_parser("distances", help="dump the cached distance matrix")
     common(p_dist)
@@ -193,7 +194,8 @@ def _cmd_predict(args) -> int:
               "prediction is defined for logistic and ordinal fits",
               file=sys.stderr)
         return USAGE_EXIT
-    train = dio.ingest(state["manifest"], use_disk_cache=not args.no_cache)
+    # the training preshapes, design and hash suffice: no pairwise matrix
+    train = dio.read_dataset(state["manifest"])
     if dio.provenance_hash(train) != state["provenance_hash"]:
         raise InputFileError(
             f"training data of {state['manifest']} changed since {args.fit} "
@@ -202,15 +204,19 @@ def _cmd_predict(args) -> int:
     spec = KernelSpec(bandwidth=fit.bandwidth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    shapes = train.shapes
+    dist = train.backend.cross_distances(query.shapes, shapes)
+    logdens = train.backend.log_density_at(dist)
     lines = ["id,prediction,probs"]
     for i, rid in enumerate(query.ids):
+        rows = dist[i], logdens[i]
         if fit.model == "logistic":
-            p = predict_logistic(fit, query.x[i], query.shapes[i],
-                                 train.shapes, train.x, spec, train.backend)
+            p = predict_logistic(fit, query.x[i], query.shapes[i], shapes,
+                                 train.x, spec, train.backend, query_rows=rows)
             lines.append(f"{rid},{1 if p > 0.5 else 0},{p:.8f}")
         else:
-            pred = predict_ordinal(fit, query.x[i], query.shapes[i],
-                                   train.shapes, train.x, spec, train.backend)
+            pred = predict_ordinal(fit, query.x[i], query.shapes[i], shapes,
+                                   train.x, spec, train.backend, query_rows=rows)
             probs = " ".join(format(v, ".8f") for v in pred.probs)
             lines.append(f"{rid},{pred.category},{probs}")
     path = out / "predictions.csv"
@@ -226,8 +232,10 @@ def _cmd_distances(args) -> int:
     path = out / "distances.csv"
     with open(path, "w") as fh:
         fh.write("," + ",".join(bundle.ids) + "\n")
+        # one %-format per row; '%.12g' % v is format(v, ".12g")
+        row_format = "%s" + ",%.12g" * len(bundle.ids) + "\n"
         for rid, row in zip(bundle.ids, bundle.cache.dist):
-            fh.write(rid + "," + ",".join(format(v, ".12g") for v in row) + "\n")
+            fh.write(row_format % (rid, *row))
     print(f"wrote {path}")
     return 0
 

@@ -13,6 +13,7 @@ closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -108,6 +109,14 @@ def helmert_submatrix(k: int) -> NDArray[np.floating]:
     return H
 
 
+@lru_cache(maxsize=None)
+def _shared_helmert(k: int) -> NDArray[np.floating]:
+    """:func:`helmert_submatrix`, built once per ``k`` and read-only."""
+    H = helmert_submatrix(k)
+    H.flags.writeable = False
+    return H
+
+
 def _as_configuration(x) -> NDArray[np.floating]:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -149,8 +158,7 @@ def preshape(x) -> ShapeSample:
     Returns the unit-norm Helmertized matrix together with the centroid size.
     """
     x = _as_configuration(x)
-    H = helmert_submatrix(x.shape[0])
-    xh = H @ x
+    xh = _shared_helmert(x.shape[0]) @ x
     size = float(np.linalg.norm(xh))
     if _coincident(size, x):
         raise DegenerateConfigurationError(
@@ -159,6 +167,31 @@ def preshape(x) -> ShapeSample:
 
 
 _CHORD_SWITCH = 0.999  # cos(rho) above which the chord evaluation takes over
+
+
+# Stack size from which the closed-form 3 x 3 determinants cost less than
+# two LU calls: 7 us either way at 16 pairs, 6.8 against 3.9 us for one pair
+# (each tangent_coordinates call), 9 against 28 us for 100 pairs.
+_CLOSED_FORM_PAIRS = 16
+
+
+def _reflected(u: NDArray, vt: NDArray) -> NDArray:
+    """Whether ``det(u) det(vt) < 0`` for each pair of two SVD factor stacks.
+
+    For m = 3 and stacks of at least :data:`_CLOSED_FORM_PAIRS` pairs, both
+    determinants come from one closed-form cofactor expansion, a few
+    elementwise operations in place of two LU factorisations per pair. The
+    sign is the same: ``u`` and ``vt`` are orthogonal to rounding, so each
+    determinant is +-1 to within a few ulps, and no evaluation of it can
+    fall on the other side of 0.
+    """
+    if u.shape[-1] != 3 or len(u) < _CLOSED_FORM_PAIRS:
+        return np.linalg.det(u) * np.linalg.det(vt) < 0
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+        np.concatenate((u, vt)).reshape(-1, 9).T)
+    det = (a00 * (a11 * a22 - a12 * a21) + a01 * (a12 * a20 - a10 * a22)
+           + a02 * (a10 * a21 - a11 * a20))
+    return det[:len(u)] * det[len(u):] < 0
 
 
 def _align(za: NDArray, zb: NDArray):
@@ -174,7 +207,7 @@ def _align(za: NDArray, zb: NDArray):
     """
     c = np.matmul(zb.transpose(0, 2, 1), za)
     u, lam, vt = np.linalg.svd(c)
-    flip = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    flip = np.where(_reflected(u, vt), -1.0, 1.0)
     # 1 - flip is exactly 0 or 2: the one-pair sum, less 2 lam[-1] if reflected
     s = lam.sum(axis=1) - (1.0 - flip) * lam[:, -1]
     u[:, :, -1] *= flip[:, None]
@@ -410,9 +443,21 @@ class KendallShapeBackend:
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
 
+    def cross_distances(self, queries: list[PreShape],
+                        points: list[PreShape]) -> NDArray:
+        """``(Q, n)`` distances from each of ``queries`` to each of ``points``.
+
+        The points are stacked and checked once; row ``q`` is then measured
+        in one kernel call, as a row of :meth:`pairwise_matrices` is.
+        """
+        q, z = self._stack(queries), self._stack(points)
+        dist = np.empty((len(q), len(z)))
+        for i, zi in enumerate(q):
+            dist[i] = _distances(np.broadcast_to(zi, z.shape), z)
+        return dist
+
     def distances_to(self, query: PreShape, points: list[PreShape]) -> NDArray:
-        z = self._stack([query, *points])
-        return _distances(np.broadcast_to(z[0], z[1:].shape), z[1:])
+        return self.cross_distances([query], points)[0]
 
 
 @dataclass(frozen=True)

@@ -53,19 +53,26 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def read_landmarks(path) -> NDArray[np.floating]:
-    """Read one ``k x m`` configuration from a landmark text file."""
+    """Read one ``k x m`` configuration from a landmark text file.
+
+    The tokens are converted in one numpy call, which parses each the way
+    ``float()`` does (underscores, non-ASCII digits, ``nan`` and ``inf``).
+    """
     path = Path(path)
     lines = [ln for ln in _read_text(path, "landmark file").splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     try:
         k, m = (int(tok) for tok in lines[0].split())
-        rows = [[float(tok) for tok in ln.split()] for ln in lines[1:k + 1]]
     except (ValueError, IndexError) as exc:
         raise InputFileError(f"malformed landmark file {path}: {exc}") from exc
+    rows = [ln.split() for ln in lines[1:k + 1]]
     if len(rows) != k or any(len(r) != m for r in rows):
         raise InputFileError(
             f"landmark file {path} promises {k} x {m} but delivers otherwise")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise InputFileError(f"malformed landmark file {path}: {exc}") from exc
 
 
 def write_landmarks(path, coords) -> None:

@@ -238,6 +238,11 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
     ``cfg.max_iter`` ("max_iter"). A separated problem keeps the previous
     sweep's state. A failed solve or non-finite working targets raise for
     the whole stack. Returns one fit per problem, in stack order.
+
+    Stopped problems leave the stack. The weights of the rest move to the
+    front of ``w_smooth`` by swaps, which are undone before returning: a
+    compacted copy would double the largest array while the caller still
+    holds it.
     """
     phi0, data, step, normal = family
     phi = apply_weights(w_smooth, x)
@@ -247,6 +252,7 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
     rows = list(range(len(x)))  # each stacked problem's place in the result
     traces: list[list[float]] = [[] for _ in rows]
     fits: list[GplmFit | None] = [None] * len(rows)
+    stack, swaps = w_smooth, []  # w_smooth is the live front of stack
 
     def stop(done, status, carried=()):
         """Write out the problems flagged in ``done`` and drop them from the
@@ -259,44 +265,58 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
                 g=phi0[j] - (phi[j] @ beta[j])[:, None], z_final=z[j],
                 iterations=len(traces[k]), converged=(status == "converged"),
                 status=status, bandwidth=spec.bandwidth, e_trace=traces[k])
-        keep = ~done
-        rows = [k for k, kept in zip(rows, keep.tolist()) if kept]
-        x, phi, xc, w_smooth, phi0, beta, z = (
-            a[keep] for a in (x, phi, xc, w_smooth, phi0, beta, z))
-        data = tuple(a[keep] for a in data)
-        return [a[keep] for a in carried]
+        # each stopped problem in the front gives its place to a kept one
+        # from the back, so every problem moves at most once
+        stopped = done.tolist()
+        kept = [j for j, d in enumerate(stopped) if not d]
+        order = list(range(len(kept)))
+        holes = [j for j in order if stopped[j]]
+        for hole, moved in zip(holes, kept[len(kept) - len(holes):]):
+            order[hole] = moved
+            swaps.append([hole, moved])
+            stack[[hole, moved]] = stack[[moved, hole]]
+        rows = [rows[j] for j in order]
+        w_smooth = stack[:len(order)]
+        order = np.array(order, dtype=np.intp)
+        x, phi, xc, phi0, beta, z = (a[order] for a in (x, phi, xc, phi0, beta, z))
+        data = tuple(a[order] for a in data)
+        return [a[order] for a in carried]
 
-    for it in range(1, cfg.max_iter + 1):
-        b = beta[:, :, None]
-        eta = x @ b + (phi0 - phi @ b)
-        prob = _expit(eta)
-        deviance, z_new, weights = step(data, eta, prob)
-        if it > 1:
-            separated = ((deviance < cfg.separation_deviance)
-                         | ((prob == 0.0) | (prob == 1.0)).any(axis=(1, 2)))
-            if separated.any():
-                z_new, *weights = stop(separated, "separation", (z_new, *weights))
+    try:
+        for it in range(1, cfg.max_iter + 1):
+            b = beta[:, :, None]
+            eta = x @ b + (phi0 - phi @ b)
+            prob = _expit(eta)
+            deviance, z_new, weights = step(data, eta, prob)
+            if it > 1:
+                separated = ((deviance < cfg.separation_deviance)
+                             | ((prob == 0.0) | (prob == 1.0)).any(axis=(1, 2)))
+                if separated.any():
+                    z_new, *weights = stop(separated, "separation", (z_new, *weights))
+                    if not rows:
+                        break
+            z = z_new
+            phi0 = apply_weights(w_smooth, z)
+            beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
+            norm = _row_norms(beta_new)
+            e = _row_norms(beta_new - beta) / np.maximum(norm, 1e-300)
+            for k, e_k in zip(rows, e.tolist()):
+                traces[k].append(e_k)
+            beta = beta_new
+            diverged = norm > cfg.divergence_norm
+            converged = e < cfg.threshold
+            if (diverged | converged).any():
+                if diverged.any():
+                    converged, = stop(diverged, "diverged", (converged,))
+                if converged.any():
+                    stop(converged, "converged")
                 if not rows:
                     break
-        z = z_new
-        phi0 = apply_weights(w_smooth, z)
-        beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
-        norm = _row_norms(beta_new)
-        e = _row_norms(beta_new - beta) / np.maximum(norm, 1e-300)
-        for k, e_k in zip(rows, e.tolist()):
-            traces[k].append(e_k)
-        beta = beta_new
-        diverged = norm > cfg.divergence_norm
-        converged = e < cfg.threshold
-        if (diverged | converged).any():
-            if diverged.any():
-                converged, = stop(diverged, "diverged", (converged,))
-            if converged.any():
-                stop(converged, "converged")
-            if not rows:
-                break
-    if rows:
-        stop(np.ones(len(rows), dtype=bool), "max_iter")
+        if rows:
+            stop(np.ones(len(rows), dtype=bool), "max_iter")
+    finally:
+        for pair in reversed(swaps):
+            stack[pair] = stack[pair[::-1]]
     return fits
 
 
@@ -536,6 +556,11 @@ def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
     :func:`fit_logistic_plm` or :func:`fit_ordinal_plm` makes for its
     problem alone, except that a problem whose slope diverges ends with
     ``status="diverged"`` instead of raising :class:`DivergenceError`.
+    ``w_smooth`` is reordered in place while the fits run, unless it is
+    read-only, and holds what it held on entry when this returns. A writable
+    ``w_smooth`` must therefore not be read or passed to another fit while
+    this runs, in this thread or any other; pass a read-only array to have
+    it copied instead.
     """
     families = {"logistic": _logistic, "ordinal": _ordinal}
     if model not in families:
@@ -544,6 +569,8 @@ def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     w_smooth = np.asarray(w_smooth, dtype=float)
+    if not w_smooth.flags.writeable:
+        w_smooth = w_smooth.copy()
     if (y.ndim != 2 or x.ndim != 3 or x.shape[:2] != y.shape
             or w_smooth.shape != y.shape + y.shape[-1:]):
         raise InvalidArgumentError(

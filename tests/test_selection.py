@@ -18,6 +18,7 @@ from shapegplm.io import DatasetBundle
 
 from conftest import sphere_points
 from test_acceptance import synthetic_sphere_ordinal
+from test_reference_fitters import assert_same_fit
 from test_stacked_folds import assert_same_report
 
 
@@ -191,17 +192,52 @@ class TestStackCap:
         for report in reports.values():
             assert_same_report(report, split)
 
-    def test_peak_memory_is_bounded_by_the_cap(self):
+    def test_fit_stack_leaves_its_weights_as_given(self, monkeypatch):
+        # folds stop mid-stack here, so the stack compacts its weights in place
+        bundle = paired_subjects_bundle(42)
+        spec = KernelSpec(bandwidth=np.pi / 8)
+        fit_stack = selection.fit_stack
+        calls = []
+
+        def spy(model, y, x, w_smooth, spec, cfg=None):
+            given = w_smooth.copy()
+            fits = fit_stack(model, y, x, w_smooth, spec, cfg)
+            assert np.array_equal(w_smooth, given)
+            frozen = given.copy()
+            frozen.flags.writeable = False
+            again = fit_stack(model, y, x, frozen, spec, cfg)
+            assert np.array_equal(frozen, given)
+            calls.append(len(y))
+            for a, b in zip(fits, again):
+                assert_same_fit(a, b)
+            return fits
+
+        monkeypatch.setattr(selection, "fit_stack", spy)
+        report = loocv(bundle, "ordinal", spec, FitConfig(max_iter=40, irls_variant="standard"))
+        assert calls == [21]
+        assert len(report.fit_status[spec.bandwidth]) > 1   # folds stopped apart
+
+    def test_peak_memory_is_bounded_by_the_cap(self, monkeypatch):
         # Calibrated with a 2^16 cap, where the peak was 1.8 times the cap's
-        # bytes at both bandwidths (1.6 times with 2^17).
+        # bytes at both bandwidths (1.6 times with 2^17). In the last case
+        # folds stop mid-stack, which took 3.5 times while a stack compacted
+        # into a copy of its weights.
         bundle = paired_subjects_bundle(90)  # 45 folds of 88 training rows
-        for h in (np.pi / 20, np.pi / 80):
+        for h, max_iter in ((np.pi / 20, 5), (np.pi / 80, 5), (np.pi / 80, 300)):
             tracemalloc.start()
             try:
-                loocv(bundle, "ordinal", KernelSpec(bandwidth=h), FitConfig(max_iter=5))
+                report = loocv(bundle, "ordinal", KernelSpec(bandwidth=h),
+                               FitConfig(max_iter=max_iter))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            if max_iter == 300:
+                assert report.fit_status[h]["converged"] > 0
+                assert report.fit_status[h]["max_iter"] > 0
+                monkeypatch.setattr(selection, "STACK_WEIGHTS", 88 ** 2)
+                assert_same_report(report, loocv(bundle, "ordinal", KernelSpec(bandwidth=h),
+                                                 FitConfig(max_iter=max_iter)))
+                monkeypatch.undo()
             bound = 3 * selection.STACK_WEIGHTS * 8
             assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
