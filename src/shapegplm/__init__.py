@@ -19,6 +19,7 @@ from .errors import (
     NonConvergenceError,
     OutOfChartError,
     ShapeGplmError,
+    UsageError,
 )
 from .geometry import (
     KendallShapeBackend,

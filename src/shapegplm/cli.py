@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as dio
 from .baselines import baseline_loocv
-from .errors import InputFileError, ShapeGplmError
+from .errors import InputFileError, ShapeGplmError, UsageError
 from .models import (
     FIT_STATUSES,
     FitConfig,
@@ -201,22 +201,24 @@ def _cmd_predict(args) -> int:
             f"training data of {state['manifest']} changed since {args.fit} "
             "was written; run `fit` again")
     query = dio.read_dataset(args.input)
-    spec = KernelSpec(bandwidth=fit.bandwidth)
+    # by name: reordered covariate columns would pass a check by position
+    for what, got, need in (
+            ("covariates", query.covariate_names, train.covariate_names),
+            ("landmarks", query.backend.description, train.backend.description)):
+        if got != need:
+            raise InputFileError(f"query manifest {args.input} has {what} "
+                                 f"{got}; the fit needs {need}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shapes = train.shapes
-    dist = train.backend.cross_distances(query.shapes, shapes)
-    logdens = train.backend.log_density_at(dist)
+    predict = predict_logistic if fit.model == "logistic" else predict_ordinal
+    preds = predict(fit, query.x, query.shapes, train.shapes, train.x,
+                    backend=train.backend)
     lines = ["id,prediction,probs"]
-    for i, rid in enumerate(query.ids):
-        rows = dist[i], logdens[i]
-        if fit.model == "logistic":
-            p = predict_logistic(fit, query.x[i], query.shapes[i], shapes,
-                                 train.x, spec, train.backend, query_rows=rows)
-            lines.append(f"{rid},{1 if p > 0.5 else 0},{p:.8f}")
-        else:
-            pred = predict_ordinal(fit, query.x[i], query.shapes[i], shapes,
-                                   train.x, spec, train.backend, query_rows=rows)
+    if fit.model == "logistic":
+        lines += [f"{rid},{1 if p > 0.5 else 0},{p:.8f}"
+                  for rid, p in zip(query.ids, preds.tolist())]
+    else:
+        for rid, pred in zip(query.ids, preds):
             probs = " ".join(format(v, ".8f") for v in pred.probs)
             lines.append(f"{rid},{pred.category},{probs}")
     path = out / "predictions.csv"
@@ -263,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputFileError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"shapegplm {args.command}: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ShapeGplmError as exc:

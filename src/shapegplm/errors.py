@@ -9,7 +9,11 @@ class InvalidArgumentError(ShapeGplmError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InputFileError(InvalidArgumentError):
+class UsageError(InvalidArgumentError):
+    """Malformed input from outside the program, named in the message."""
+
+
+class InputFileError(UsageError):
     """A manifest, landmark or fit-state file is malformed; the message
     names the file."""
 

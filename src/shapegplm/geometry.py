@@ -404,12 +404,6 @@ class KendallShapeBackend:
     def description(self) -> str:
         return f"kendall(k={self.k}, m={self.m})"
 
-    def distance(self, a: PreShape, b: PreShape) -> float:
-        return procrustes_distance(a, b)
-
-    def log_volume_density(self, a: PreShape, b: PreShape) -> float:
-        return log_volume_density(a, b)
-
     def log_density_at(self, rho) -> NDArray[np.floating]:
         return log_density_from_distance(rho, self.k, self.m)
 
@@ -512,7 +506,11 @@ class SphereBackend:
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
 
-    def distances_to(self, query, points) -> NDArray:
-        q = self._check(query)
+    def cross_distances(self, queries, points) -> NDArray:
+        """``(Q, n)`` arc lengths, one matrix-vector product per query row."""
+        q = np.asarray([self._check(u) for u in queries])
         pts = np.asarray([self._check(p) for p in points])
-        return np.arccos(np.clip(pts @ q, -1.0, 1.0))
+        return np.arccos(np.clip((pts @ q[:, :, None])[..., 0], -1.0, 1.0))
+
+    def distances_to(self, query, points) -> NDArray:
+        return self.cross_distances([query], points)[0]

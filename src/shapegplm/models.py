@@ -380,28 +380,35 @@ def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
 
 def _query_terms(fit: GplmFit, model: str, x_new, s_new, train_shapes, train_x,
                  spec: KernelSpec | None, backend, query_rows):
-    """The three terms of the linear predictor at a query point:
-    ``x_new @ beta``, the smooth of the stored working targets (one entry per
-    logit) and the smooth of the training covariates times ``beta``. The
-    families add them up in different orders, which shows in the last bits."""
+    """Whether one query was given (a stack of one), and the three terms of
+    the linear predictor at each query point: ``x_new @ beta``, the smooth of
+    the stored working targets (one column per logit) and the smooth of the
+    training covariates times ``beta``. The families add them up in
+    different orders, which shows in the last bits."""
     if fit.model != model:
         raise InvalidArgumentError(f"{model} prediction needs a {model} fit, "
                                    f"got {fit.model!r}")
     spec = spec or KernelSpec(bandwidth=fit.bandwidth)
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+    one = np.ndim(x_new) < 2
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    query = s_new if one else f"<one of {len(s_new)} query points>"
+    s_new = [s_new] if one else s_new
     train_x = _as_design(train_x, len(train_shapes))
     if query_rows is None:
-        dist = backend.distances_to(s_new, train_shapes)
+        dist = backend.cross_distances(s_new, train_shapes)
         query_rows = dist, backend.log_density_at(dist)
-    phi0_new = smooth_at(*query_rows, fit.z_final, spec, query=s_new)
-    phi_new = smooth_at(*query_rows, train_x, spec, query=s_new)
-    return x_new @ fit.beta, phi0_new, phi_new @ fit.beta
+    query_rows = np.atleast_2d(*query_rows)
+    phi0_new = smooth_at(*query_rows, fit.z_final, spec, query=query)
+    phi_new = smooth_at(*query_rows, train_x, spec, query=query)
+    b = fit.beta[:, None]  # (Q, p) @ (p,) would sum in another order
+    return one, (x_new[:, None] @ b)[:, 0, 0], phi0_new, (phi_new[:, None] @ b)[:, 0, 0]
 
 
 def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
                      spec: KernelSpec | None = None, backend=None,
-                     query_rows=None) -> float:
-    """Class-1 probability at a new point.
+                     query_rows=None):
+    """Class-1 probability at a new point; at Q points, with ``x_new``
+    ``(Q, p)``, the ``(Q,)`` array of the Q single calls' results.
 
     The nonparametric part at ``s_new`` is the kernel smooth of the stored
     working targets; the covariate smooth is re-evaluated the same way, so a
@@ -410,10 +417,10 @@ def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
     ``(distances, log_densities)`` from ``s_new`` to the training sample,
     e.g. rows sliced from a dataset-wide cache.
     """
-    xb, phi0_new, phib = _query_terms(fit, "logistic", x_new, s_new, train_shapes,
-                                      train_x, spec, backend, query_rows)
-    eta = float(xb + phi0_new[0] - phib)
-    return float(_expit(np.array([eta]))[0])
+    one, xb, phi0, phib = _query_terms(fit, "logistic", x_new, s_new, train_shapes,
+                                       train_x, spec, backend, query_rows)
+    prob = _expit(xb + phi0[:, 0] - phib)
+    return float(prob[0]) if one else prob
 
 
 @dataclass(frozen=True)
@@ -447,10 +454,15 @@ def ordinal_work_matrices(pi1: float, pi2: float, pi3: float,
             f"category probabilities must sum to 1, got {probs.sum()!r}")
     clamped = bool(np.any(probs < floor))
     p1, p2, p3 = np.clip(probs, floor, 1.0 - floor)
-    W = (1.0 / p2) * np.array([[(1.0 - p3) / p1, -1.0],
-                               [-1.0, (1.0 - p1) / p3]])
+    W11, W12, W22 = _ordinal_weights(p1, p2, p3)
+    W = np.array([[W11, W12], [W12, W22]])
     Dinv = np.diag([p1 * (1.0 - p1), p3 * (1.0 - p3)])
     return OrdinalWorkMatrices(W=W, Dinv=Dinv, clamped=clamped)
+
+
+def _ordinal_weights(p1, p2, p3):
+    """``W11, W12, W22`` of :func:`ordinal_work_matrices`, elementwise."""
+    return (1.0 - p3) / (p1 * p2), -1.0 / p2, (1.0 - p1) / (p3 * p2)
 
 
 def _ordinal_category_probs(gam: NDArray) -> NDArray[np.floating]:
@@ -491,10 +503,7 @@ def _ordinal(y: NDArray, cfg: FitConfig):
         gamc = np.minimum(np.maximum(gam, eps), 1.0 - eps)
         dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
         resid = Y - gamc
-        # inverse indicator covariance, elementwise over subjects
-        W11 = (1.0 - p3) / (p1 * p2)
-        W12 = -1.0 / p2
-        W22 = (1.0 - p1) / (p3 * p2)
+        W11, W12, W22 = _ordinal_weights(p1, p2, p3)  # inverse indicator covariance
         if cfg.irls_variant == "paper":
             z = eta + dlink * resid
         else:
@@ -595,19 +604,18 @@ class OrdinalPrediction:
 
 def predict_ordinal(fit: GplmFit, x_new, s_new, train_shapes, train_x,
                     spec: KernelSpec | None = None, backend=None,
-                    query_rows=None) -> OrdinalPrediction:
+                    query_rows=None):
     """Category probabilities and predicted class at a new point.
 
-    ``query_rows`` works as in :func:`predict_logistic`.
+    Arguments work as in :func:`predict_logistic`; a stack gives a list.
     """
-    xb, phi0_new, phib = _query_terms(fit, "ordinal", x_new, s_new, train_shapes,
-                                      train_x, spec, backend, query_rows)
-    eta = float(xb - phib) + phi0_new
-    gam = _expit(eta)
-    repaired = bool(gam[0] > gam[1])
-    if repaired:
-        gam = np.sort(gam)
-    probs = np.array([gam[0], gam[1] - gam[0], 1.0 - gam[1]])
-    category = int(np.argmax(probs)) + 1
-    return OrdinalPrediction(probs=probs, category=category,
-                             monotone_repaired=repaired)
+    one, xb, phi0, phib = _query_terms(fit, "ordinal", x_new, s_new, train_shapes,
+                                       train_x, spec, backend, query_rows)
+    gam = _expit((xb - phib)[:, None] + phi0)
+    repaired = gam[:, 0] > gam[:, 1]
+    gam[repaired] = gam[repaired, ::-1]
+    probs = _ordinal_category_probs(gam)
+    preds = [OrdinalPrediction(probs=p, category=c + 1, monotone_repaired=r)
+             for p, c, r in zip(probs, np.argmax(probs, axis=1).tolist(),
+                                repaired.tolist())]
+    return preds[0] if one else preds

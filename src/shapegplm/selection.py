@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDatasetError, InvalidArgumentError
+from .errors import DegenerateDatasetError, InvalidArgumentError, UsageError
 # loocv fits through fit_stack; the per-fold fitters stay importable here
 # because bench/tracing.py wraps them under these names.
 from .models import (  # noqa: F401
@@ -103,8 +103,9 @@ def run_folds(bundle, model: str, key: float, labels, classes,
     status its fit ended with and one ``(row, predicted, probs)`` per
     held-out row, or ``None`` for ``rows`` to skip the fold. With
     ``SHAPEGPLM_THREADS=k`` above 1 the list is split into ``k`` contiguous
-    parts that run on a thread pool; the report is the same. ``key`` indexes
-    the report (the bandwidth, or 0.0 for a model without one).
+    parts that run on a thread pool; the report is the same. Unset, empty or
+    at most 1 is serial; a non-integer raises :class:`UsageError`. ``key``
+    indexes the report (the bandwidth, or 0.0 for a model without one).
     """
     if len(bundle.samples) < 3:
         raise InvalidArgumentError("cross-validation needs at least 3 rows")
@@ -117,7 +118,12 @@ def run_folds(bundle, model: str, key: float, labels, classes,
             folds.append((np.flatnonzero(subjects == subject), train))
             fitted.append(subject)
 
-    workers = int(os.environ.get("SHAPEGPLM_THREADS", "1"))
+    threads = os.environ.get("SHAPEGPLM_THREADS", "").strip() or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise UsageError("SHAPEGPLM_THREADS must be a whole number of threads, "
+                         f"got {threads!r}") from None
     if workers > 1 and len(folds) > 1:
         size = -(-len(folds) // workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -196,20 +202,17 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
             for t in trains])
 
     def predict_held(fit, held, train):
-        shapes_tr = [shapes[i] for i in train]
-        x_tr = x[train]
-        out = []
-        for i in held:
-            rows = None
-            if use_cache:
-                rows = (full_cache.dist[i, train], full_cache.logdens[i, train])
-            pred = predict(fit, x[i], shapes[i], shapes_tr, x_tr, spec,
-                           backend, query_rows=rows)
-            if logistic:
-                out.append((i, 1 if pred > 0.5 else 0, (1.0 - pred, pred)))
-            else:
-                out.append((i, pred.category, pred.probs))
-        return out
+        rows = None
+        if use_cache:
+            block = np.ix_(held, train)
+            rows = full_cache.dist[block], full_cache.logdens[block]
+        preds = predict(fit, x[held], [shapes[i] for i in held],
+                        [shapes[i] for i in train], x[train], spec, backend,
+                        query_rows=rows)
+        if logistic:
+            return [(i, 1 if p > 0.5 else 0, (1.0 - p, p))
+                    for i, p in zip(held.tolist(), preds.tolist())]
+        return [(i, p.category, p.probs) for i, p in zip(held.tolist(), preds)]
 
     def fit_folds(folds):
         results = [None] * len(folds)

@@ -24,14 +24,11 @@ __all__ = ["KernelSpec", "SmootherCache", "kernel_weight",
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and bandwidth (radians)."""
+    """Bandwidth (radians) of the Gaussian kernel."""
 
     bandwidth: float
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise InvalidArgumentError(f"unsupported kernel family {self.family!r}")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth!r}")
 
@@ -82,8 +79,7 @@ def kernel_weight(d: float, spec: KernelSpec) -> float:
     """Unnormalised Gaussian kernel value ``exp(-d^2 / (2 h^2))``."""
     if d < 0:
         raise InvalidArgumentError(f"distance must be nonnegative, got {d}")
-    h = spec.bandwidth
-    return float(np.exp(-(d * d) / (2.0 * h * h)))
+    return float(np.exp(_log_weights(d, 0.0, spec)))
 
 
 def _log_weights(dist, logdens, spec: KernelSpec) -> NDArray[np.floating]:
@@ -118,13 +114,48 @@ def _weighted_average(w: NDArray, targets: NDArray) -> NDArray[np.floating]:
     return out[0] if w.ndim == 1 else out
 
 
-def _as_targets(targets) -> tuple[NDArray[np.floating], bool]:
+def normalised_weight_matrix(cache: SmootherCache, spec: KernelSpec) -> NDArray:
+    """Row-normalised weights over one sample, ready for repeated smoothing.
+
+    The weights depend only on the cache and the bandwidth, not on the
+    targets, so iterative fits compute this once and re-apply it every sweep;
+    ``apply_weights(w, t)`` then equals ``smooth_all`` on the same cache.
+    """
+    return _normalised(_log_weights(cache.dist, cache.logdens, spec),
+                       query="<all sample points>")
+
+
+def apply_weights(w: NDArray, targets) -> NDArray[np.floating]:
+    """Smooth targets ``(n,)`` or ``(n, L)`` with row-normalised weights
+    ``(n,)`` or ``(m, n)``, or a stack of targets ``(G, n, L)`` with weights
+    ``(G, m, n)``, each slice as it would alone. Every smooth ends here."""
     t = np.asarray(targets, dtype=float)
     if not np.isfinite(t).all():
         raise InvalidArgumentError("targets contain non-finite values")
     if t.ndim == 1:
-        return t[:, None], True
-    return t, False
+        return _weighted_average(w, t[:, None])[..., 0]
+    return _weighted_average(w, t)
+
+
+def smooth_at(dist_rows, logdens_rows, targets, spec: KernelSpec, query=None):
+    """Estimates at off-sample points from precomputed distances.
+
+    Low-level entry used by prediction paths that already hold the rows from
+    the queries to the training sample, ``(n,)`` or ``(Q, n)``; each row is
+    smoothed as a ``1 x n`` matrix, as ``(Q, n) @ (n, L)`` sums in another order.
+    """
+    w = _normalised(_log_weights(dist_rows, logdens_rows, spec), query)
+    out = apply_weights(w[..., None, :], targets)
+    return out[..., 0] if np.ndim(targets) == 1 else out[..., 0, :]
+
+
+def _check_sample(points, targets, spec: KernelSpec, backend) -> None:
+    if len(points) == 0:
+        raise InvalidArgumentError("cannot smooth over an empty sample")
+    if len(targets) != len(points):
+        raise InvalidArgumentError(
+            f"{len(targets)} target rows for {len(points)} sample points")
+    spec.check_against(backend)
 
 
 def pelletier_estimate(query, points, targets, spec: KernelSpec, backend,
@@ -139,23 +170,13 @@ def pelletier_estimate(query, points, targets, spec: KernelSpec, backend,
     Raises :class:`BandwidthTooSmallError` when all log weights underflow to
     ``-inf`` even after shifting, naming the query.
     """
-    if len(points) == 0:
-        raise InvalidArgumentError("cannot smooth over an empty sample")
-    t, squeeze = _as_targets(targets)
-    if t.shape[0] != len(points):
-        raise InvalidArgumentError(
-            f"{t.shape[0]} target rows for {len(points)} sample points")
-    spec.check_against(backend)
+    _check_sample(points, targets, spec, backend)
     if isinstance(query, (int, np.integer)) and cache is not None:
-        dist = cache.dist[query]
-        logdens = cache.logdens[query]
-    else:
-        point = points[query] if isinstance(query, (int, np.integer)) else query
-        dist = backend.distances_to(point, points)
-        logdens = backend.log_density_at(dist)
-    w = _normalised(_log_weights(dist, logdens, spec), query)
-    out = _weighted_average(w, t)
-    return out[0] if squeeze else out
+        return smooth_at(cache.dist[query], cache.logdens[query], targets, spec,
+                         query)
+    point = points[query] if isinstance(query, (int, np.integer)) else query
+    dist = backend.distances_to(point, points)
+    return smooth_at(dist, backend.log_density_at(dist), targets, spec, query)
 
 
 def smooth_all(points, targets, spec: KernelSpec, backend,
@@ -165,49 +186,10 @@ def smooth_all(points, targets, spec: KernelSpec, backend,
     Equivalent to ``n`` independent :func:`pelletier_estimate` calls over the
     shared cache.
     """
-    t, squeeze = _as_targets(targets)
-    n = len(points)
-    if t.shape[0] != n:
-        raise InvalidArgumentError(f"{t.shape[0]} target rows for {n} sample points")
-    spec.check_against(backend)
+    _check_sample(points, targets, spec, backend)
     if cache is None:
         cache = SmootherCache.from_points(points, backend)
-    elif cache.n != n:
+    elif cache.n != len(points):
         raise InvalidArgumentError(
-            f"cache built for {cache.n} points cannot serve {n} points")
-    w = _normalised(_log_weights(cache.dist, cache.logdens, spec),
-                    query="<all sample points>")
-    out = _weighted_average(w, t)
-    return out[:, 0] if squeeze else out
-
-
-def smooth_at(dist_row, logdens_row, targets, spec: KernelSpec, query=None):
-    """Estimate at an off-sample point from precomputed distances.
-
-    Low-level entry used by prediction paths that already hold the distances
-    from the query to the training sample.
-    """
-    t, squeeze = _as_targets(targets)
-    w = _normalised(_log_weights(dist_row, logdens_row, spec), query)
-    out = _weighted_average(w, t)
-    return out[0] if squeeze else out
-
-
-def normalised_weight_matrix(cache: SmootherCache, spec: KernelSpec) -> NDArray:
-    """Row-normalised weights over one sample, ready for repeated smoothing.
-
-    The weights depend only on the cache and the bandwidth, not on the
-    targets, so iterative fits compute this once and re-apply it every sweep;
-    ``apply_weights(w, t)`` then equals ``smooth_all`` on the same cache.
-    """
-    return _normalised(_log_weights(cache.dist, cache.logdens, spec),
-                       query="<all sample points>")
-
-
-def apply_weights(w: NDArray, targets) -> NDArray[np.floating]:
-    """Smooth ``targets`` with weights from :func:`normalised_weight_matrix`;
-    a stack of weights ``(G, n, n)`` smooths a stack of targets ``(G, n, L)``,
-    each slice as it would alone."""
-    t, squeeze = _as_targets(targets)
-    out = _weighted_average(w, t)
-    return out[:, 0] if squeeze else out
+            f"cache built for {cache.n} points cannot serve {len(points)} points")
+    return apply_weights(normalised_weight_matrix(cache, spec), targets)

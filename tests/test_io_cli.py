@@ -52,13 +52,14 @@ class TestLandmarkFiles:
             read_landmarks(tmp_path / "absent.txt")
 
 
-def write_tiny_dataset(rng, root, n=6, k=5, seed_configs=None):
+def write_tiny_dataset(rng, root, n=6, k=5, seed_configs=None, covariates=("cov",)):
     root.mkdir(parents=True, exist_ok=True)
-    rows = ["# response_type: binary", "id,file,response,cov"]
+    rows = ["# response_type: binary", "id,file,response," + ",".join(covariates)]
     for i in range(n):
         coords = random_configuration(rng, k=k, m=3)
         write_landmarks(root / f"t{i}.txt", coords)
-        rows.append(f"t{i},t{i}.txt,{i % 2},{rng.normal():.6f}")
+        rows.append(f"t{i},t{i}.txt,{i % 2},"
+                    + ",".join(f"{rng.normal():.6f}" for _ in covariates))
     (root / "manifest.csv").write_text("\n".join(rows) + "\n")
     return root / "manifest.csv"
 
@@ -219,6 +220,40 @@ class TestCli:
         assert not (query.parent / ".shapegplm-cache").exists()
         lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == [f"t{i}" for i in range(5)]
+
+    @pytest.mark.parametrize("query", ["reordered covariates", "extra covariate",
+                                       "renamed covariate", "other k"])
+    def test_predict_rejects_a_mismatched_query(self, rng, tmp_path, capsys, query):
+        train = write_tiny_dataset(rng, tmp_path / "train", n=8, k=7,
+                                   covariates=("cov", "dose"))
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(train), "--model", "logistic",
+                     "--h", "0.3", "--out", str(out)]) == 0
+        covariates, k = {"reordered covariates": (("dose", "cov"), 7),
+                         "extra covariate": (("cov", "dose", "age"), 7),
+                         "renamed covariate": (("cov", "weight"), 7),
+                         "other k": (("cov", "dose"), 4)}[query]
+        manifest = write_tiny_dataset(rng, tmp_path / "query", n=3, k=k,
+                                      covariates=covariates)
+        capsys.readouterr()
+        code = main(["predict", "--fit", str(out / "fit_state.json"),
+                     "--input", str(manifest), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(manifest) in err and "numerical failure" not in err
+        assert ("kendall(k=4" if k == 4 else "'dose'") in err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["two", "1.5", "4 threads"])
+    def test_malformed_thread_count_exits_1(self, tmp_path, capsys, monkeypatch,
+                                            threads):
+        monkeypatch.setenv("SHAPEGPLM_THREADS", threads)
+        code = main(["cv", "--manifest", str(MACAQUE_MANIFEST), "--model", "logistic",
+                     "--grid", "pi/25", "--out", str(tmp_path), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "SHAPEGPLM_THREADS" in err and repr(threads) in err
+        assert not (tmp_path / "cv_report.csv").exists()
 
     def test_predict_rejects_gaussian_fit_before_ingest(self, tmp_path, capsys,
                                                         monkeypatch):

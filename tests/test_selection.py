@@ -150,6 +150,17 @@ class TestThreadedFolds:
         assert [(p.row_id, p.predicted, p.probs) for p in serial.predictions] == \
             [(p.row_id, p.predicted, p.probs) for p in threaded.predictions]
 
+    @pytest.mark.parametrize("threads", ["", " ", "1", "0", "-2"])
+    def test_empty_or_small_thread_count_runs_serially(self, macaque_bundle,
+                                                       monkeypatch, threads):
+        spec = KernelSpec(np.pi / 25)
+        serial = loocv(macaque_bundle, "logistic", spec)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", threads)
+        monkeypatch.setattr(selection, "ThreadPoolExecutor", None)  # unused
+        again = loocv(macaque_bundle, "logistic", spec)
+        assert [(p.row_id, p.predicted, p.probs) for p in again.predictions] == \
+            [(p.row_id, p.predicted, p.probs) for p in serial.predictions]
+
 
 def paired_subjects_bundle(n):
     """Sphere ordinal data with two rows per subject."""

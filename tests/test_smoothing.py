@@ -30,8 +30,6 @@ class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             KernelSpec(bandwidth=0.0)
-        with pytest.raises(InvalidArgumentError):
-            KernelSpec(bandwidth=0.1, family="epanechnikov")
 
     def test_oversized_bandwidth_warns_not_errors(self, sphere_data):
         backend, pts, targets, cache = sphere_data
