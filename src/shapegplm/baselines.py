@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError, NonConvergenceError
 from .geometry import PreShape, procrustes_mean, tangent_coordinates
-from .selection import CvReport, run_folds
+from .selection import CvReport, _by_training_size, run_folds
 
 __all__ = ["TangentPcaModel", "tangent_pca", "fit_cumulative_logit",
            "predict_cumulative_logit", "baseline_loocv"]
@@ -38,27 +38,33 @@ class TangentPcaModel:
     retained: int
     var_threshold: float
 
-    def project(self, shape: PreShape) -> NDArray[np.floating]:
-        """Scores of one shape in the retained basis."""
-        v = tangent_coordinates(self.pole, shape)
-        return (v - self.center) @ self.components[: self.retained].T
+    def project(self, shapes: PreShape | list[PreShape]) -> NDArray[np.floating]:
+        """Scores in the retained basis of one shape ``(retained,)`` or of a
+        list of them ``(P, retained)``, from one tangent call. Each row is
+        projected as a ``1 x d`` matrix, as ``(P, d) @ (d, r)`` sums in
+        another order."""
+        v = tangent_coordinates(self.pole, shapes) - self.center
+        return (v[..., None, :] @ self.components[: self.retained].T)[..., 0, :]
 
 
-def tangent_pca(shapes: list[PreShape], var_threshold: float = 0.98
+def tangent_pca(shapes: list[PreShape], var_threshold: float = 0.98,
+                pole: PreShape | None = None
                 ) -> tuple[TangentPcaModel, NDArray[np.floating]]:
     """PCA of the sample in the tangent space at its Procrustes mean.
 
-    Returns the model and the ``n x retained`` score matrix of the input
-    sample. Component signs are fixed by making each component's
-    largest-magnitude loading positive.
+    ``pole`` is that mean when the caller has it already (see
+    :func:`baseline_loocv`). Returns the model and the ``n x retained``
+    score matrix of the input sample. Component signs are fixed by making
+    each component's largest-magnitude loading positive.
     """
     n = len(shapes)
     if n < 2:
         raise InvalidArgumentError("tangent PCA needs at least 2 shapes")
     if not 0 <= var_threshold <= 1:
         raise InvalidArgumentError("var_threshold must lie in [0, 1]")
-    pole = procrustes_mean(shapes)
-    coords = np.array([tangent_coordinates(pole, s) for s in shapes])
+    if pole is None:
+        pole = procrustes_mean(shapes)
+    coords = tangent_coordinates(pole, shapes)
     center = coords.mean(axis=0)
     centered = coords - center
     # SVD of the centered data; eigenvalues of the (n-1)-divisor covariance.
@@ -229,7 +235,9 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
 
     Per fold the pole, PCA basis, and retained count are recomputed on the
     training shapes alone; the held-out shapes are projected into that
-    training chart. Fixed covariates precede the PCA scores in the design.
+    training chart; the poles of the folds of one training size come from
+    one stacked :func:`procrustes_mean` call. Fixed covariates precede the
+    PCA scores in the design.
     Folds whose fit does not converge (as under separation) are skipped and
     counted as ``"nonconverged"`` in the report's ``fit_status``.
     """
@@ -241,18 +249,23 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
     label_of = {c: k + 1 for k, c in enumerate(classes)}
     y = np.array([label_of[v] for v in y_raw])
 
-    def fit_fold(held, train):
-        model, scores = tangent_pca([shapes[i] for i in train], var_threshold)
+    def fit_fold(held, train, pole):
+        model, scores = tangent_pca([shapes[i] for i in train], var_threshold, pole)
         try:
             alpha, beta = fit_cumulative_logit(y[train], np.hstack([x[train], scores]))
         except NonConvergenceError:
             return "nonconverged", None
         out = []
-        for i in held:
-            z = model.project(shapes[i])
+        for i, z in zip(held, model.project([shapes[i] for i in held])):
             probs = predict_cumulative_logit(alpha, beta, np.concatenate([x[i], z]))
             out.append((i, classes[int(np.argmax(probs))], probs))
         return "converged", out
 
-    return run_folds(bundle, "baseline", 0.0, y_raw, classes,
-                     lambda folds: [fit_fold(*fold) for fold in folds])
+    def fit_folds(folds):
+        poles = {}
+        for members in _by_training_size(folds).values():
+            poles.update(zip(members, procrustes_mean(
+                [[shapes[i] for i in folds[f][1]] for f in members])))
+        return [fit_fold(*fold, poles[f]) for f, fold in enumerate(folds)]
+
+    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_folds)

@@ -35,6 +35,7 @@ __all__ = [
     "log_volume_density",
     "log_density_from_distance",
     "procrustes_mean",
+    "MEAN_PAIRS",
     "tangent_coordinates",
     "exponential_map",
     "KendallShapeBackend",
@@ -169,23 +170,16 @@ def preshape(x) -> ShapeSample:
 _CHORD_SWITCH = 0.999  # cos(rho) above which the chord evaluation takes over
 
 
-# Stack size from which the closed-form 3 x 3 determinants cost less than
-# two LU calls: 7 us either way at 16 pairs, 6.8 against 3.9 us for one pair
-# (each tangent_coordinates call), 9 against 28 us for 100 pairs.
-_CLOSED_FORM_PAIRS = 16
-
-
 def _reflected(u: NDArray, vt: NDArray) -> NDArray:
     """Whether ``det(u) det(vt) < 0`` for each pair of two SVD factor stacks.
 
-    For m = 3 and stacks of at least :data:`_CLOSED_FORM_PAIRS` pairs, both
-    determinants come from one closed-form cofactor expansion, a few
-    elementwise operations in place of two LU factorisations per pair. The
-    sign is the same: ``u`` and ``vt`` are orthogonal to rounding, so each
-    determinant is +-1 to within a few ulps, and no evaluation of it can
-    fall on the other side of 0.
+    For m = 3 both determinants come from one closed-form cofactor
+    expansion, a few elementwise operations in place of two LU
+    factorisations per pair. The sign is the one LU gives: ``u`` and ``vt``
+    are orthogonal to rounding, so each determinant is +-1 to within a few
+    ulps, and no evaluation of it can fall on the other side of 0.
     """
-    if u.shape[-1] != 3 or len(u) < _CLOSED_FORM_PAIRS:
+    if u.shape[-1] != 3:
         return np.linalg.det(u) * np.linalg.det(vt) < 0
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
         np.concatenate((u, vt)).reshape(-1, 9).T)
@@ -227,11 +221,17 @@ def _geodesic(za: NDArray, zb: NDArray, s: NDArray, rotation: NDArray) -> NDArra
     rho = np.arcsin(np.sqrt(1.0 - s * s))
     near = np.flatnonzero(s > _CHORD_SWITCH)
     if near.size:
-        resid = (za[near] - np.matmul(zb[near], rotation[near])).reshape(near.size, -1)
-        # the norm as a per-pair dot product, as np.linalg.norm takes it
-        chord = 0.5 * np.sqrt(np.matmul(resid[:, None, :], resid[:, :, None]).ravel())
+        chord = 0.5 * _row_norms(za[near] - np.matmul(zb[near], rotation[near]))
         rho[near] = 2.0 * np.arcsin(np.minimum(chord, 1.0))
     return rho
+
+
+def _row_norms(v: NDArray) -> NDArray[np.floating]:
+    """Euclidean norm of each row of ``v``, or of each item of a stack of
+    matrices, summed as ``np.linalg.norm`` sums a single array."""
+    if v.ndim > 2:
+        v = v.reshape(len(v), -1)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _distances(za: NDArray, zb: NDArray) -> NDArray:
@@ -300,9 +300,16 @@ def log_volume_density(a: PreShape, b: PreShape) -> float:
     return float(log_density_from_distance(rho, a.k, a.m))
 
 
-def procrustes_mean(shapes: list[PreShape], tol: float = 1e-9,
-                    max_iter: int = 200,
-                    initial: PreShape | None = None) -> PreShape:
+# Most preshape pairs in one kernel call of a stacked procrustes_mean, e.g.
+# 8 samples of 88 shapes. Each pair holds about six (k-1) x m arrays while it
+# sweeps. Wider stacks measured no faster but raised the peak RSS of a
+# benchmark session (see the README).
+MEAN_PAIRS = 768
+
+
+def procrustes_mean(shapes: list[PreShape] | list[list[PreShape]],
+                    tol: float = 1e-9, max_iter: int = 200,
+                    initial=None) -> PreShape | list[PreShape]:
     """Full Procrustes mean by iterative align-average-renormalise.
 
     Minimises the summed squared full-Procrustes distances to the sample.
@@ -310,56 +317,98 @@ def procrustes_mean(shapes: list[PreShape], tol: float = 1e-9,
     ``max_iter`` sweeps have run. ``initial`` seeds the iteration (defaults
     to the first shape); a converged mean re-used as the seed moves less
     than ``tol``.
+
+    ``shapes`` is one sample, a list of :class:`PreShape`, or a list of F
+    samples of one length, which returns a list of F means (``initial`` is
+    then None or a list of F seeds). Their sweeps run together, at most
+    :data:`MEAN_PAIRS` pairs per kernel call; a sample that stops leaves the
+    stack, and each mean is bit for bit the one its sample gets alone.
     """
-    if not shapes:
-        raise InvalidArgumentError("procrustes_mean requires a nonempty list")
-    for s in shapes[1:]:
-        _check_same_shape(shapes[0], s)
-    if len(shapes) == 1 and initial is None:
-        return shapes[0]
-    mean = initial if initial is not None else shapes[0]
-    _check_same_shape(shapes[0], mean)
-    zs = np.array([s.z for s in shapes])
+    stacked = bool(shapes) and not isinstance(shapes[0], PreShape)
+    samples = shapes if stacked else [shapes]
+    seeds = initial if stacked and initial is not None else [initial] * len(samples)
+    n = len(samples[0])
+    for sample, seed in zip(samples, seeds):
+        if not sample:
+            raise InvalidArgumentError("procrustes_mean requires a nonempty list")
+        if len(sample) != n:
+            raise InvalidArgumentError("stacked samples must all have one length")
+        for s in sample if seed is None else [*sample, seed]:
+            _check_same_shape(samples[0][0], s)
+    means = [sample[0] if seed is None else seed for sample, seed in zip(samples, seeds)]
+    todo = [f for f, seed in enumerate(seeds) if n > 1 or seed is not None]
+    per_stack = max(1, MEAN_PAIRS // n)
+    for first in range(0, len(todo), per_stack):
+        part = todo[first:first + per_stack]
+        zs = np.array([[s.z for s in samples[f]] for f in part])
+        swept = _mean_sweeps(zs, np.array([means[f].z for f in part]), tol, max_iter)
+        for f, z in zip(part, swept):
+            means[f] = PreShape(z)
+    return means if stacked else means[0]
+
+
+def _mean_sweeps(zs: NDArray, mean: NDArray, tol: float, max_iter: int) -> NDArray:
+    """The sweeps of :func:`procrustes_mean` on G samples ``(G, n, k-1, m)``
+    from seeds ``(G, k-1, m)``, with one :func:`_align` call per sweep."""
+    out = mean.copy()
+    live = np.arange(len(zs))
     for _ in range(max_iter):
-        ssum, rotation = _align(np.broadcast_to(mean.z, zs.shape), zs)
-        # optimal similarity fit of each shape onto the mean scales by <mean, s R>
-        acc = np.add.reduce(ssum[:, None, None] * np.matmul(zs, rotation), axis=0)
-        acc /= len(shapes)
-        norm = np.linalg.norm(acc)
-        if norm <= 0.0:
+        pairs = zs.reshape(-1, *zs.shape[2:])
+        ssum, rotation = _align(np.repeat(mean, zs.shape[1], axis=0), pairs)
+        # optimal similarity fit of each shape onto the mean scales by <mean, s R>;
+        # the axis-1 sum adds a sample's shapes in order, as axis 0 of one sample
+        acc = np.add.reduce((ssum[:, None, None] * np.matmul(pairs, rotation))
+                            .reshape(zs.shape), axis=1)
+        acc /= zs.shape[1]
+        norm = _row_norms(acc)
+        if np.any(norm <= 0.0):
             raise DegenerateConfigurationError("mean shape collapsed to zero")
-        new_mean = PreShape(acc / norm)
-        delta = np.linalg.norm(new_mean.z - mean.z)
-        mean = new_mean
-        if delta < tol:
+        new_mean = acc / norm[:, None, None]
+        moving = ~(_row_norms(new_mean - mean) < tol)
+        out[live] = mean = new_mean
+        if not moving.any():
             break
-    return mean
+        if not moving.all():
+            zs, mean, live = zs[moving], mean[moving], live[moving]
+    return out
 
 
-def tangent_coordinates(pole: PreShape, s: PreShape) -> NDArray[np.floating]:
-    """Coordinates of ``s`` in the tangent space at ``pole``.
+def tangent_coordinates(pole: PreShape, shapes: PreShape | list[PreShape]
+                        ) -> NDArray[np.floating]:
+    """Coordinates of shapes in the tangent space at ``pole``.
 
-    ``s`` is first rotated into optimal position, then mapped by the inverse
-    exponential of the preshape sphere. The returned vector is flattened to
+    Each shape is first rotated into optimal position, then mapped by the
+    inverse exponential of the preshape sphere. Its vector is flattened to
     length ``(k-1)m`` and its Euclidean norm equals the shape distance to the
-    pole, so distances to the pole are preserved exactly.
+    pole, so distances to the pole are preserved exactly; a shape equal to
+    the pole maps to zeros.
+
+    ``shapes`` is one :class:`PreShape`, giving a ``((k-1)m,)`` vector, or a
+    list of P of them, giving ``(P, (k-1)m)`` rows from one kernel call, each
+    the vector its shape gets alone. Raises :class:`OutOfChartError` for the
+    first shape in order at pi/2 or more from the pole.
     """
-    _check_same_shape(pole, s)
-    if pole.z is s.z or np.array_equal(pole.z, s.z):
-        return np.zeros(pole.z.size)
-    za, zb = pole.z[None], s.z[None]
+    if isinstance(shapes, PreShape):
+        return tangent_coordinates(pole, [shapes])[0]
+    for s in shapes:
+        _check_same_shape(pole, s)
+    zb = np.array([s.z for s in shapes]).reshape(len(shapes), *pole.z.shape)
+    za = np.broadcast_to(pole.z, zb.shape)
     ssum, rotation = _align(za, zb)
-    rho = float(_geodesic(za, zb, ssum, rotation)[0])
-    cosr = min(max(float(ssum[0]), -1.0), 1.0)
-    if cosr <= 0.0 or rho >= np.pi / 2:
+    rho = _geodesic(za, zb, ssum, rotation)
+    cosr = np.minimum(np.maximum(ssum, -1.0), 1.0)
+    at_pole = np.all(zb == pole.z, axis=(1, 2))
+    off = np.flatnonzero(~at_pole & ((cosr <= 0.0) | (rho >= np.pi / 2)))
+    if off.size:
         raise OutOfChartError(
-            f"shape at distance {rho:.6f} >= pi/2 from the pole")
-    zs = s.z @ rotation[0]
-    resid = zs - cosr * pole.z
-    rnorm = np.linalg.norm(resid)
-    if rnorm < 1e-300:
-        return np.zeros(pole.z.size)
-    return (rho / rnorm) * resid.ravel()
+            f"shape at distance {rho[off[0]]:.6f} >= pi/2 from the pole")
+    resid = (np.matmul(zb, rotation) - cosr[:, None, None] * pole.z).reshape(
+        len(zb), pole.z.size)
+    rnorm = _row_norms(resid)
+    out = np.zeros(resid.shape)
+    keep = ~at_pole & (rnorm >= 1e-300)
+    out[keep] = (rho[keep] / rnorm[keep])[:, None] * resid[keep]
+    return out
 
 
 def exponential_map(pole: PreShape, v: NDArray[np.floating]) -> PreShape:

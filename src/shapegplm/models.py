@@ -43,9 +43,11 @@ from .errors import (
     IllConditionedError,
     InvalidArgumentError,
 )
+from .geometry import _row_norms
 from .smoothing import (
     KernelSpec,
     SmootherCache,
+    _checked_cache,
     apply_weights,
     normalised_weight_matrix,
     smooth_at,
@@ -188,8 +190,7 @@ def fit_plm(y, x, shapes, spec: KernelSpec, backend,
     """
     cfg = cfg or FitConfig()
     y, x = _check_inputs(y, x, len(shapes))
-    if cache is None:
-        cache = SmootherCache.from_points(shapes, backend)
+    cache = _checked_cache(shapes, backend, cache)
     spec.check_against(backend)
     w_smooth = normalised_weight_matrix(cache, spec)
     phi0 = apply_weights(w_smooth, y)
@@ -208,12 +209,6 @@ def _binary_deviance_mean(y: NDArray, eta: NDArray):
     stably from eta."""
     sign = np.where(y > 0.5, 1.0, -1.0)
     return np.add.reduce(_softplus(-sign * eta), axis=-1) / eta.shape[-1]
-
-
-def _row_norms(v: NDArray) -> NDArray[np.floating]:
-    """Euclidean norm of each row of ``v``, summed as ``np.linalg.norm`` sums
-    a single vector."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
@@ -323,8 +318,7 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
 def _fit_one(model: str, family, x, shapes, spec: KernelSpec, backend,
              cfg: FitConfig, cache: SmootherCache | None) -> GplmFit:
     """One problem through :func:`_irls`, as a stack of one."""
-    if cache is None:
-        cache = SmootherCache.from_points(shapes, backend)
+    cache = _checked_cache(shapes, backend, cache)
     spec.check_against(backend)
     w_smooth = normalised_weight_matrix(cache, spec)
     fit, = _irls(model, family, w_smooth[None], x[None], spec, cfg)

@@ -164,6 +164,15 @@ def run_folds(bundle, model: str, key: float, labels, classes,
                     fit_status={key: Counter(status for status, _ in results)})
 
 
+def _by_training_size(folds) -> dict[int, list[int]]:
+    """Positions of ``(held, train)`` folds grouped by training-set size,
+    in order within each group: the folds that can share one stack."""
+    groups: dict[int, list[int]] = {}
+    for f, (_, train) in enumerate(folds):
+        groups.setdefault(len(train), []).append(f)
+    return groups
+
+
 def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
           use_cache: bool = True) -> CvReport:
     """Leave-one-subject-out cross-validation at a single bandwidth.
@@ -216,10 +225,7 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
 
     def fit_folds(folds):
         results = [None] * len(folds)
-        by_size: dict[int, list[int]] = {}
-        for f, (_, train) in enumerate(folds):
-            by_size.setdefault(len(train), []).append(f)
-        for n, members in by_size.items():
+        for n, members in _by_training_size(folds).items():
             per_stack = max(1, STACK_WEIGHTS // (n * n))
             for first in range(0, len(members), per_stack):
                 part = members[first:first + per_stack]

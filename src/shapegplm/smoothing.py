@@ -75,6 +75,17 @@ class SmootherCache:
         return self.dist.shape[0]
 
 
+def _checked_cache(points, backend, cache: SmootherCache | None) -> SmootherCache:
+    """``cache`` once it is known to be built over as many points as
+    ``points``, or a new cache over ``points`` when it is None."""
+    if cache is None:
+        return SmootherCache.from_points(points, backend)
+    if cache.n != len(points):
+        raise InvalidArgumentError(
+            f"cache built for {cache.n} points cannot serve {len(points)} points")
+    return cache
+
+
 def kernel_weight(d: float, spec: KernelSpec) -> float:
     """Unnormalised Gaussian kernel value ``exp(-d^2 / (2 h^2))``."""
     if d < 0:
@@ -172,6 +183,7 @@ def pelletier_estimate(query, points, targets, spec: KernelSpec, backend,
     """
     _check_sample(points, targets, spec, backend)
     if isinstance(query, (int, np.integer)) and cache is not None:
+        cache = _checked_cache(points, backend, cache)
         return smooth_at(cache.dist[query], cache.logdens[query], targets, spec,
                          query)
     point = points[query] if isinstance(query, (int, np.integer)) else query
@@ -187,9 +199,5 @@ def smooth_all(points, targets, spec: KernelSpec, backend,
     shared cache.
     """
     _check_sample(points, targets, spec, backend)
-    if cache is None:
-        cache = SmootherCache.from_points(points, backend)
-    elif cache.n != len(points):
-        raise InvalidArgumentError(
-            f"cache built for {cache.n} points cannot serve {len(points)} points")
+    cache = _checked_cache(points, backend, cache)
     return apply_weights(normalised_weight_matrix(cache, spec), targets)

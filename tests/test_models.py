@@ -58,6 +58,17 @@ class TestFitConfig:
             FitConfig(irls_variant="robust")
 
 
+@pytest.mark.parametrize("fitter", [fit_plm, fit_logistic_plm, fit_ordinal_plm])
+def test_cache_size_mismatch(fitter, rng):
+    backend = SphereBackend(d=2)
+    pts = list(sphere_points(rng, 60))
+    cache = SmootherCache.from_points(pts[:50], backend)
+    y = np.arange(60) % (2 if fitter is fit_logistic_plm else 3) + (fitter is fit_ordinal_plm)
+    with pytest.raises(InvalidArgumentError, match="built for 50 points"):
+        fitter(y.astype(float), rng.normal(size=(60, 1)), pts, KernelSpec(0.5),
+               backend, cache=cache)
+
+
 class TestGaussianPlm:
     def test_identical_shapes_reduce_to_ols(self, rng, kendall_backend):
         n = 40

@@ -162,6 +162,8 @@ def assert_close_fit(got, want):
 
 def test_fold_fits_match_reference_on_cloud_bundle(rng, monkeypatch):
     bundle = cloud_bundle(rng)
+    # the fits are recorded in call order, so the folds must run serially
+    monkeypatch.setenv("SHAPEGPLM_THREADS", "1")
     fits = {}
 
     def recording(fitter, key):

@@ -26,7 +26,6 @@ from shapegplm import io as dio
 from shapegplm.cli import main
 from shapegplm.errors import InputFileError
 from shapegplm.geometry import (
-    _CLOSED_FORM_PAIRS,
     MATRIX_BUILD_COUNTS,
     _distances,
     _reflected,
@@ -206,9 +205,7 @@ def test_closed_form_sign_matches_lu_determinants(m, rng):
     want = np.linalg.det(u) * np.linalg.det(vt) < 0
     assert 0 < want.sum() < len(want)   # both signs occur
     assert np.array_equal(_reflected(u, vt), want)
-    # for m = 3 the whole stack takes the closed form, a pair alone (as
-    # tangent_coordinates passes it) the LU determinants
-    assert len(u) >= _CLOSED_FORM_PAIRS
+    # for m = 3 the closed form gives the LU sign in a stack and for a pair alone
     alone = [bool(_reflected(u[i:i + 1], vt[i:i + 1])[0]) for i in range(len(u))]
     assert alone == list(want)
 

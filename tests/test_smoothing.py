@@ -108,6 +108,13 @@ class TestPelletierEstimate:
         with pytest.raises(InvalidArgumentError):
             pelletier_estimate(0, pts, np.zeros(7), KernelSpec(0.1), backend, cache)
 
+    def test_cache_size_mismatch(self, rng):
+        backend = SphereBackend(d=2)
+        pts = list(sphere_points(rng, 60))
+        cache = SmootherCache.from_points(pts[:50], backend)
+        with pytest.raises(InvalidArgumentError, match="built for 50 points"):
+            pelletier_estimate(3, pts, rng.normal(size=60), KernelSpec(0.3), backend, cache)
+
 
 class TestSmoothAll:
     def test_constant_matrix(self, sphere_data):
