@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidArgumentError, NonConvergenceError
+from . import geometry
+from .errors import InvalidArgumentError, NonConvergenceError, OutOfChartError
 from .geometry import PreShape, procrustes_mean, tangent_coordinates
-from .selection import CvReport, _by_training_size, run_folds
+from .selection import CvReport, run_folds
 
 __all__ = ["TangentPcaModel", "tangent_pca", "fit_cumulative_logit",
            "predict_cumulative_logit", "baseline_loocv"]
@@ -235,11 +236,13 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
 
     Per fold the pole, PCA basis, and retained count are recomputed on the
     training shapes alone; the held-out shapes are projected into that
-    training chart; the poles of the folds of one training size come from
-    one stacked :func:`procrustes_mean` call. Fixed covariates precede the
-    PCA scores in the design.
+    training chart; the poles of a stack of folds of one training size, at
+    most :data:`~shapegplm.geometry.MEAN_PAIRS` training shapes in all, come
+    from one stacked :func:`procrustes_mean` call. Fixed covariates precede
+    the PCA scores in the design.
     Folds whose fit does not converge (as under separation) are skipped and
-    counted as ``"nonconverged"`` in the report's ``fit_status``.
+    counted as ``"nonconverged"`` in the report's ``fit_status``. A shape
+    outside a fold's chart raises :class:`OutOfChartError` naming its row.
     """
     y_raw = np.asarray(bundle.y, dtype=int)
     x = bundle.x
@@ -249,23 +252,30 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
     label_of = {c: k + 1 for k, c in enumerate(classes)}
     y = np.array([label_of[v] for v in y_raw])
 
+    def charted(rows, tangent):
+        """``tangent`` of the shapes of ``rows``, naming the row of a shape
+        outside the chart."""
+        try:
+            return tangent([shapes[i] for i in rows])
+        except OutOfChartError as exc:
+            i = int(rows[exc.index])
+            raise OutOfChartError(f"row {bundle.ids[i]}: {exc}", i) from None
+
     def fit_fold(held, train, pole):
-        model, scores = tangent_pca([shapes[i] for i in train], var_threshold, pole)
+        model, scores = charted(train, lambda s: tangent_pca(s, var_threshold, pole))
         try:
             alpha, beta = fit_cumulative_logit(y[train], np.hstack([x[train], scores]))
         except NonConvergenceError:
             return "nonconverged", None
         out = []
-        for i, z in zip(held, model.project([shapes[i] for i in held])):
+        for i, z in zip(held, charted(held, model.project)):
             probs = predict_cumulative_logit(alpha, beta, np.concatenate([x[i], z]))
             out.append((i, classes[int(np.argmax(probs))], probs))
         return "converged", out
 
     def fit_folds(folds):
-        poles = {}
-        for members in _by_training_size(folds).values():
-            poles.update(zip(members, procrustes_mean(
-                [[shapes[i] for i in folds[f][1]] for f in members])))
-        return [fit_fold(*fold, poles[f]) for f, fold in enumerate(folds)]
+        poles = procrustes_mean([[shapes[i] for i in train] for _, train in folds])
+        return [fit_fold(*fold, pole) for fold, pole in zip(folds, poles)]
 
-    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_folds)
+    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_folds,
+                     lambda n: geometry.MEAN_PAIRS // n)

@@ -4,6 +4,18 @@
 class ShapeGplmError(Exception):
     """Base class for all package-specific errors."""
 
+    def __reduce__(self):
+        # rebuilt from the message and the attributes __init__ set, not by
+        # calling __init__ again: an error from a worker process reads the same
+        return _rebuild, (type(self), str(self), vars(self))
+
+
+def _rebuild(cls, message: str, attrs: dict) -> ShapeGplmError:
+    err = cls.__new__(cls)
+    Exception.__init__(err, message)
+    err.__dict__.update(attrs)
+    return err
+
 
 class InvalidArgumentError(ShapeGplmError, ValueError):
     """An argument violates a documented precondition."""
@@ -28,7 +40,12 @@ class DegenerateDatasetError(InvalidArgumentError):
 
 
 class OutOfChartError(ShapeGplmError):
-    """A point lies outside the tangent chart of the given pole."""
+    """A point lies outside the tangent chart of the given pole; ``index`` is
+    its position in the list of points given."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class BandwidthTooSmallError(ShapeGplmError):

@@ -13,11 +13,12 @@ closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _workers
 from .errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
@@ -386,7 +387,8 @@ def tangent_coordinates(pole: PreShape, shapes: PreShape | list[PreShape]
     ``shapes`` is one :class:`PreShape`, giving a ``((k-1)m,)`` vector, or a
     list of P of them, giving ``(P, (k-1)m)`` rows from one kernel call, each
     the vector its shape gets alone. Raises :class:`OutOfChartError` for the
-    first shape in order at pi/2 or more from the pole.
+    first shape in order at pi/2 or more from the pole (cosine at most 0),
+    naming its position in the list.
     """
     if isinstance(shapes, PreShape):
         return tangent_coordinates(pole, [shapes])[0]
@@ -400,8 +402,10 @@ def tangent_coordinates(pole: PreShape, shapes: PreShape | list[PreShape]
     at_pole = np.all(zb == pole.z, axis=(1, 2))
     off = np.flatnonzero(~at_pole & ((cosr <= 0.0) | (rho >= np.pi / 2)))
     if off.size:
+        i = int(off[0])
         raise OutOfChartError(
-            f"shape at distance {rho[off[0]]:.6f} >= pi/2 from the pole")
+            f"shape {i} of {len(zb)} lies outside the tangent chart of the pole: "
+            f"distance {float(rho[i])!r}, cos {float(cosr[i])!r}", i)
     resid = (np.matmul(zb, rotation) - cosr[:, None, None] * pole.z).reshape(
         len(zb), pole.z.size)
     rnorm = _row_norms(resid)
@@ -423,6 +427,10 @@ def exponential_map(pole: PreShape, v: NDArray[np.floating]) -> PreShape:
 
 
 # --- manifold backends -------------------------------------------------------
+
+# Fewest pairs of distance rows worth a worker process of their own: smaller
+# builds, such as every macaque build, stay serial (see the README).
+SLAB_PAIRS = 4096
 
 # Process-wide count of pairwise-matrix builds, keyed by an arbitrary label.
 # Used to assert that a dataset's distance matrix is computed exactly once.
@@ -471,17 +479,30 @@ class KendallShapeBackend:
         """Distance and log-density matrices over a point list.
 
         Both are symmetric with exactly zero diagonals. Row ``i`` is measured
-        against the points after it in one kernel call. ``count_label``
-        increments the process-wide build counter for cache instrumentation.
+        against the points after it in one kernel call. The rows are shared
+        out over forked worker processes when each share gets at least
+        :data:`SLAB_PAIRS` pairs. ``count_label`` increments the process-wide
+        build counter for cache instrumentation.
         """
         z = self._stack(points)
         _count_build(count_label)
         n = len(points)
+        workers = _workers.count(n * (n - 1) // 2 // SLAB_PAIRS)
+        # rows i and n-2-i hold n pairs together, so rows dealt out there and
+        # back give each worker the same number of rows and of pairs
+        turn = np.arange(n - 1) % (2 * workers)
+        owner = np.minimum(turn, 2 * workers - 1 - turn)
+        shares = [np.flatnonzero(owner == w) for w in range(workers)]
+
+        def rows(share):
+            return [_distances(np.broadcast_to(z[i], z[i + 1:].shape), z[i + 1:])
+                    for i in share]
+
         dist = np.zeros((n, n))
-        for i in range(n - 1):
-            rest = z[i + 1:]
-            dist[i, i + 1:] = dist[i + 1:, i] = _distances(
-                np.broadcast_to(z[i], rest.shape), rest)
+        done = _workers.run([partial(rows, share) for share in shares], workers)
+        for share, share_rows in zip(shares, done):
+            for i, row in zip(share, share_rows):
+                dist[i, i + 1:] = dist[i + 1:, i] = row
         logdens = self.log_density_at(dist)
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
@@ -491,13 +512,19 @@ class KendallShapeBackend:
         """``(Q, n)`` distances from each of ``queries`` to each of ``points``.
 
         The points are stacked and checked once; row ``q`` is then measured
-        in one kernel call, as a row of :meth:`pairwise_matrices` is.
+        in one kernel call, as a row of :meth:`pairwise_matrices` is. Slabs of
+        rows run on forked worker processes when each gets at least
+        :data:`SLAB_PAIRS` pairs.
         """
         q, z = self._stack(queries), self._stack(points)
-        dist = np.empty((len(q), len(z)))
-        for i, zi in enumerate(q):
-            dist[i] = _distances(np.broadcast_to(zi, z.shape), z)
-        return dist
+        workers = _workers.count(min(len(q), len(q) * len(z) // SLAB_PAIRS))
+
+        def rows(slab):
+            return np.array([_distances(np.broadcast_to(zi, z.shape), z)
+                             for zi in slab]).reshape(len(slab), len(z))
+
+        return np.concatenate(_workers.run(
+            [partial(rows, slab) for slab in np.array_split(q, workers)], workers))
 
     def distances_to(self, query: PreShape, points: list[PreShape]) -> NDArray:
         return self.cross_distances([query], points)[0]

@@ -11,22 +11,24 @@ The fold fits of :func:`loocv` run as stacks through
 size are fitted together, at most :data:`STACK_WEIGHTS` smoother weights
 (1 MiB) at a time, and each stack's held-out rows are predicted as soon as it
 is fitted. A sweep's cost is mostly a fixed number of numpy calls, so wider
-stacks are faster; the cap bounds the memory they take. Every fold's fit is
-the one it would get alone, so the report does not depend on how the folds
-are stacked.
+stacks are faster; the cap bounds the memory they take. :func:`run_folds`
+makes the stacks, for :func:`loocv` and the tangent-PCA baseline alike, and
+runs them on forked worker processes. Every fold's fit is the one it would
+get alone, so the report does not depend on how the folds are stacked or
+where they run.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDatasetError, InvalidArgumentError, UsageError
+from . import _workers
+from .errors import DegenerateDatasetError, InvalidArgumentError
 # loocv fits through fit_stack; the per-fold fitters stay importable here
 # because bench/tracing.py wraps them under these names.
 from .models import (  # noqa: F401
@@ -92,20 +94,22 @@ class CvReport:
                    key=lambda h: (-self.accuracy[h], h))
 
 
-def run_folds(bundle, model: str, key: float, labels, classes,
-              fit_folds) -> CvReport:
+def run_folds(bundle, model: str, key: float, labels, classes, fit_folds,
+              per_stack) -> CvReport:
     """Leave-one-subject-out folds, shared by every cross-validated model.
 
     Subjects are visited in order of first appearance. A fold whose training
     part lost one of ``classes`` (values of ``labels``) is skipped and
-    recorded. ``fit_folds`` fits the rest: given a list of ``(held, train)``
-    row-index pairs, it returns for each fold a pair ``(status, rows)``, the
-    status its fit ended with and one ``(row, predicted, probs)`` per
-    held-out row, or ``None`` for ``rows`` to skip the fold. With
-    ``SHAPEGPLM_THREADS=k`` above 1 the list is split into ``k`` contiguous
-    parts that run on a thread pool; the report is the same. Unset, empty or
-    at most 1 is serial; a non-integer raises :class:`UsageError`. ``key``
-    indexes the report (the bandwidth, or 0.0 for a model without one).
+    recorded. The rest are fitted as stacks: folds whose training sets have
+    one size ``n``, at most ``per_stack(n)`` of them. ``fit_folds`` fits one:
+    given a list of ``(held, train)`` row-index pairs, it returns for each
+    fold a pair ``(status, rows)``, the status its fit ended with and one
+    ``(row, predicted, probs)`` per held-out row, or ``None`` for ``rows`` to
+    skip the fold. More than one capped stack runs on forked worker
+    processes (:mod:`shapegplm._workers`, sized by ``SHAPEGPLM_THREADS``),
+    each size's folds split into a multiple of the worker count of stacks;
+    the report is the same. ``key`` indexes the report (the bandwidth, or 0.0
+    for a model without one).
     """
     if len(bundle.samples) < 3:
         raise InvalidArgumentError("cross-validation needs at least 3 rows")
@@ -118,20 +122,23 @@ def run_folds(bundle, model: str, key: float, labels, classes,
             folds.append((np.flatnonzero(subjects == subject), train))
             fitted.append(subject)
 
-    threads = os.environ.get("SHAPEGPLM_THREADS", "").strip() or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise UsageError("SHAPEGPLM_THREADS must be a whole number of threads, "
-                         f"got {threads!r}") from None
-    if workers > 1 and len(folds) > 1:
-        size = -(-len(folds) // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(fit_folds, [folds[i:i + size]
-                                         for i in range(0, len(folds), size)])
-            results = [res for part in parts for res in part]
-    else:
-        results = fit_folds(folds)
+    groups: dict[int, list[int]] = {}
+    for f, (_, train) in enumerate(folds):
+        groups.setdefault(len(train), []).append(f)
+    capped = {n: -(-len(members) // max(1, per_stack(n)))
+              for n, members in groups.items()}
+    workers = _workers.count(sum(capped.values()))
+    stacks = []
+    for n, members in groups.items():
+        count = min(len(members), -(-capped[n] // workers) * workers)
+        size = -(-len(members) // count)
+        stacks += [members[i:i + size] for i in range(0, len(members), size)]
+    parts = _workers.run([partial(fit_folds, [folds[f] for f in stack])
+                          for stack in stacks], workers)
+    results = [None] * len(folds)
+    for stack, part in zip(stacks, parts):
+        for f, res in zip(stack, part):
+            results[f] = res
     outcome = dict(zip(fitted, results))
 
     predictions: list[SubjectPrediction] = []
@@ -162,15 +169,6 @@ def run_folds(bundle, model: str, key: float, labels, classes,
                     predictions=predictions, confusion={key: conf},
                     skipped_folds={key: skipped},
                     fit_status={key: Counter(status for status, _ in results)})
-
-
-def _by_training_size(folds) -> dict[int, list[int]]:
-    """Positions of ``(held, train)`` folds grouped by training-set size,
-    in order within each group: the folds that can share one stack."""
-    groups: dict[int, list[int]] = {}
-    for f, (_, train) in enumerate(folds):
-        groups.setdefault(len(train), []).append(f)
-    return groups
 
 
 def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
@@ -224,21 +222,14 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
         return [(i, p.category, p.probs) for i, p in zip(held.tolist(), preds)]
 
     def fit_folds(folds):
-        results = [None] * len(folds)
-        for n, members in _by_training_size(folds).items():
-            per_stack = max(1, STACK_WEIGHTS // (n * n))
-            for first in range(0, len(members), per_stack):
-                part = members[first:first + per_stack]
-                trains = np.array([folds[f][1] for f in part])
-                fits = fit_stack(model, y[trains], x[trains], weights(trains),
-                                 spec, cfg)
-                for f, fit in zip(part, fits):
-                    results[f] = (fit.status, None if fit.status == "diverged"
-                                  else predict_held(fit, *folds[f]))
-        return results
+        trains = np.array([train for _, train in folds])
+        fits = fit_stack(model, y[trains], x[trains], weights(trains), spec, cfg)
+        return [(fit.status, None if fit.status == "diverged"
+                 else predict_held(fit, *fold)) for fit, fold in zip(fits, folds)]
 
     classes = [0, 1] if logistic else [1, 2, 3]
-    return run_folds(bundle, model, spec.bandwidth, y, classes, fit_folds)
+    return run_folds(bundle, model, spec.bandwidth, y, classes, fit_folds,
+                     lambda n: STACK_WEIGHTS // (n * n))
 
 
 def bandwidth_sweep(bundle, model: str, grid, cfg: FitConfig | None = None,

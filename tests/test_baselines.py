@@ -4,8 +4,10 @@ import pytest
 from shapegplm import (
     InvalidArgumentError,
     NonConvergenceError,
+    OutOfChartError,
     baseline_loocv,
     fit_cumulative_logit,
+    geometry,
     predict_cumulative_logit,
     procrustes_distance,
     procrustes_mean,
@@ -16,6 +18,7 @@ from shapegplm.io import DatasetBundle
 from shapegplm.smoothing import SmootherCache
 
 from conftest import random_preshape
+from test_reference_geometry import orthogonal_to
 
 
 @pytest.fixture()
@@ -140,11 +143,11 @@ class TestCumulativeLogit:
         assert np.all(probs > 0)
 
 
-def cloud_bundle(rng, n_subjects=18):
+def cloud_bundle(rng, n_subjects=18, k=6):
     """Kendall-shape bundle with ordinal labels driven by a shape direction."""
     from shapegplm import KendallShapeBackend, PreShape
 
-    anchor = random_preshape(rng, k=6)
+    anchor = random_preshape(rng, k=k)
     direction = rng.normal(size=anchor.z.shape)
     direction -= (direction * anchor.z).sum() * anchor.z
     direction /= np.linalg.norm(direction)
@@ -160,7 +163,7 @@ def cloud_bundle(rng, n_subjects=18):
     noisy = rng.choice(n_subjects, size=n_subjects // 3, replace=False)
     y[noisy] = rng.integers(1, 4, size=len(noisy))
     x = (amounts * 2 + rng.normal(0, 0.4, n_subjects))[:, None]
-    backend = KendallShapeBackend(k=6, m=3)
+    backend = KendallShapeBackend(k=k, m=3)
     dist, logdens = backend.pairwise_matrices(shapes)
     return DatasetBundle(
         ids=[f"s{i}" for i in range(n_subjects)],
@@ -172,6 +175,16 @@ def cloud_bundle(rng, n_subjects=18):
 
 
 class TestBaselineLoocv:
+    def test_shape_outside_a_fold_chart_names_its_row(self, rng):
+        # row 5 sits pi/2 from the pole of the fold that holds it out
+        bundle = cloud_bundle(rng, k=7)
+        others = [s for i, s in enumerate(bundle.samples) if i != 5]
+        bundle.samples[5] = orthogonal_to(procrustes_mean(others))
+        with pytest.raises(OutOfChartError) as err:
+            baseline_loocv(bundle)
+        assert err.value.index == 5
+        assert str(err.value).startswith("row s5: shape ")
+
     def test_runs_and_reports(self, rng):
         bundle = cloud_bundle(rng)
         rep = baseline_loocv(bundle, var_threshold=0.98)
@@ -215,7 +228,9 @@ class TestBaselineLoocv:
     def test_threaded_folds_match_serial(self, rng, monkeypatch):
         bundle = cloud_bundle(rng)
         serial = baseline_loocv(bundle)
-        monkeypatch.setenv("SHAPEGPLM_THREADS", "4")
+        # stacks of 4 of the 18 folds, so two workers share them
+        monkeypatch.setattr(geometry, "MEAN_PAIRS", 4 * 17)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "2")
         threaded = baseline_loocv(bundle)
         assert threaded.skipped_folds == serial.skipped_folds
         assert [(p.row_id, p.predicted, p.probs) for p in threaded.predictions] == \

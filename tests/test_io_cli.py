@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from shapegplm.cli import main, parse_bandwidth
 from shapegplm.geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend
 from shapegplm.io import load_model_state
 
-from conftest import MACAQUE_MANIFEST, random_configuration
+from conftest import MACAQUE_MANIFEST, REPO_ROOT, random_configuration
 
 
 class TestLandmarkFiles:
@@ -294,6 +295,19 @@ class TestCli:
                      "--no-cache"])
         assert code == 2
         assert "skipped" in capsys.readouterr().err
+
+    def test_readme_commands_exit_0(self, tmp_path, monkeypatch, capsys):
+        # the README's CLI examples, in order, on a copy of the data
+        text = (REPO_ROOT / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("shapegplm ")]
+        assert [argv[0] for argv in commands] == [
+            "fit", "cv", "predict", "distances", "baseline"]
+        shutil.copytree(REPO_ROOT / "data" / "macaque", tmp_path / "data" / "macaque")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
 
     def test_malformed_bandwidth_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -245,11 +245,12 @@ def test_leave_two_out_means_and_tangents_match_reference(data, macaque_bundle, 
 
 # --- memory ------------------------------------------------------------------
 
-def test_pairwise_build_stays_row_by_row():
+def test_pairwise_build_stays_row_by_row(monkeypatch):
     """The build measures one row against the points after it at a time, so
     its traced peak stays a small multiple of the two ``n x n`` outputs.
     Gathering large pair stacks (thousands of pairs per kernel call) breaks
     the bound."""
+    monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # traced in this process
     rng = np.random.default_rng(7)
     n = 300
     points = [preshape(rng.normal(size=(K_SYNTH, 3))).preshape for _ in range(n)]

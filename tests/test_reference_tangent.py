@@ -8,6 +8,7 @@ one stacked call. Each must give the bits of the references below, not
 values within a tolerance: the baseline CSVs are compared byte for byte.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -196,7 +197,8 @@ def test_pca_scores_and_projections_match_reference(bundle, monkeypatch):
 
 
 @pytest.mark.parametrize("stacking", ["one fold a stack", "default cap", "two threads"])
-def test_baseline_report_matches_reference(compare_bundle, monkeypatch, stacking):
+def test_baseline_report_matches_reference(compare_bundle, monkeypatch, tmp_path,
+                                           stacking):
     bundle = mixed_subjects(compare_bundle)
     assert len({len(train) for _, train in folds(bundle)}) == 3
     with monkeypatch.context() as m:
@@ -204,8 +206,13 @@ def test_baseline_report_matches_reference(compare_bundle, monkeypatch, stacking
         want = baseline_loocv(bundle)
     assert sum(want.fit_status[0.0].values()) == len(folds(bundle))
 
-    calls, stacks = [], []
+    # calls are logged to a file, which forked workers append to as well
+    log = tmp_path / "calls"
     mean, sweeps, pca = baselines.procrustes_mean, geometry._mean_sweeps, baselines.tangent_pca
+
+    def note(kind, count):
+        with open(log, "a") as fh:
+            fh.write(f"{kind} {count} {os.getpid()}\n")
 
     def own_pole(shapes, var_threshold, pole):
         # the grouping must hand each fold the mean of its own training rows
@@ -213,20 +220,27 @@ def test_baseline_report_matches_reference(compare_bundle, monkeypatch, stacking
         return pca(shapes, var_threshold, pole)
 
     monkeypatch.setattr(baselines, "procrustes_mean",
-                        lambda samples: calls.append(len(samples)) or mean(samples))
+                        lambda samples: note("mean", len(samples)) or mean(samples))
     monkeypatch.setattr(geometry, "_mean_sweeps",
-                        lambda zs, *args: stacks.append(len(zs)) or sweeps(zs, *args))
+                        lambda zs, *args: note("sweeps", len(zs)) or sweeps(zs, *args))
     monkeypatch.setattr(baselines, "tangent_pca", own_pole)
     if stacking == "one fold a stack":
         monkeypatch.setattr(geometry, "MEAN_PAIRS", 1)
     monkeypatch.setenv("SHAPEGPLM_THREADS", "2" if stacking == "two threads" else "1")
     assert_same_report(baseline_loocv(bundle), want)
+    logged = [line.split() for line in log.read_text().splitlines()]
+    calls = [int(n) for kind, n, _ in logged if kind == "mean"]
+    stacks = [int(n) for kind, n, _ in logged if kind == "sweeps"]
     assert sum(calls) == sum(stacks) == len(folds(bundle))
     if stacking == "one fold a stack":
         assert set(stacks) == {1}
     elif stacking == "default cap":
-        assert len(calls) == 3   # one stacked call per training size
-        assert max(stacks) == geometry.MEAN_PAIRS // 87 < max(calls)   # groups split
+        # the fold driver splits each training size into capped stacks, so
+        # each call is one kernel stack
+        assert calls == stacks and len(calls) == 6
+        assert max(stacks) == geometry.MEAN_PAIRS // 87
+    else:
+        assert {int(pid) for *_, pid in logged} != {os.getpid()}   # ran in workers
 
 
 def test_out_of_chart_names_the_first_offender():
@@ -238,10 +252,29 @@ def test_out_of_chart_names_the_first_offender():
     # shapes before the offender, equal to the pole or inside the chart, pass
     with pytest.raises(OutOfChartError) as got:
         tangent_coordinates(pole, [pole, *shapes[1:8], far, shapes[9]])
-    assert str(got.value) == str(ref.value)
-    with pytest.raises(OutOfChartError) as got:
+    with pytest.raises(OutOfChartError) as alone:
         tangent_coordinates(pole, far)
-    assert str(got.value) == str(ref.value)
+    assert (got.value.index, alone.value.index) == (8, 0)
+    assert str(got.value).startswith("shape 8 of 10 ")
+    assert str(got.value) == str(alone.value).replace("shape 0 of 1 ", "shape 8 of 10 ")
+    # the reference's distance, to full precision
+    rho = float(str(got.value).split("distance ")[1].split(",")[0])
+    assert f"distance {rho:.6f} " in str(ref.value)
+
+
+def test_out_of_chart_message_tells_offenders_apart():
+    shapes = synthetic_k20()
+    pole = shapes[0]
+    far = orthogonal_to(pole)
+    messages = set()
+    for i in range(4):
+        with pytest.raises(OutOfChartError) as got:
+            tangent_coordinates(pole, [*shapes[1:1 + i], far, *shapes[5:7]])
+        assert got.value.index == i
+        messages.add(str(got.value))
+    assert len(messages) == 4
+    # the distance and cosine at full precision: rho is pi/2 exactly here
+    assert f"distance {np.pi / 2!r}, cos " in str(got.value)
 
 
 def test_shapes_equal_to_the_pole_map_to_zero_rows():

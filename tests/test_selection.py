@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -143,7 +144,9 @@ class TestThreadedFolds:
     def test_thread_count_env_var_preserves_results(self, macaque_bundle, monkeypatch):
         spec = KernelSpec(np.pi / 100)
         serial = loocv(macaque_bundle, "logistic", spec)
-        monkeypatch.setenv("SHAPEGPLM_THREADS", "4")
+        # three capped stacks of the 18 macaque folds, so two workers share them
+        monkeypatch.setattr(selection, "STACK_WEIGHTS", 6 * 17 ** 2)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "2")
         threaded = loocv(macaque_bundle, "logistic", spec)
         h = spec.bandwidth
         assert serial.accuracy[h] == threaded.accuracy[h]
@@ -156,7 +159,8 @@ class TestThreadedFolds:
         spec = KernelSpec(np.pi / 25)
         serial = loocv(macaque_bundle, "logistic", spec)
         monkeypatch.setenv("SHAPEGPLM_THREADS", threads)
-        monkeypatch.setattr(selection, "ThreadPoolExecutor", None)  # unused
+        # the macaque folds are one stack: no worker process is started
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         again = loocv(macaque_bundle, "logistic", spec)
         assert [(p.row_id, p.predicted, p.probs) for p in again.predictions] == \
             [(p.row_id, p.predicted, p.probs) for p in serial.predictions]
@@ -185,6 +189,7 @@ class TestStackCap:
             return fit_stack(model, y, *args)
 
         monkeypatch.setattr(selection, "fit_stack", spy)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # the spy records here
         reports = {}
         for folds_per_stack in (1, 6, 21):
             monkeypatch.setattr(selection, "STACK_WEIGHTS", folds_per_stack * 40 ** 2)
@@ -234,6 +239,7 @@ class TestStackCap:
         # folds stop mid-stack, which took 3.5 times while a stack compacted
         # into a copy of its weights.
         bundle = paired_subjects_bundle(90)  # 45 folds of 88 training rows
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # traced in this process
         for h, max_iter in ((np.pi / 20, 5), (np.pi / 80, 5), (np.pi / 80, 300)):
             tracemalloc.start()
             try:

@@ -33,9 +33,11 @@ def stacked_fold_fits(bundle, model, spec, cfg, monkeypatch):
         seen.extend(zip(w_smooth, fits))
         return fits
 
-    monkeypatch.setattr(selection, "fit_stack", spy)
-    report = loocv(bundle, model, spec, cfg)
-    monkeypatch.setattr(selection, "fit_stack", fit_stack)
+    with monkeypatch.context() as m:
+        # the spy records in this process, so the stacks must run here
+        m.setenv("SHAPEGPLM_THREADS", "1")
+        m.setattr(selection, "fit_stack", spy)
+        report = loocv(bundle, model, spec, cfg)
     return report, seen
 
 
