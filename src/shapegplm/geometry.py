@@ -442,6 +442,35 @@ def _count_build(label: str | None):
         MATRIX_BUILD_COUNTS[label] = MATRIX_BUILD_COUNTS.get(label, 0) + 1
 
 
+def _distance_rows(a: NDArray, b: NDArray, after: bool = False) -> list[NDArray]:
+    """Distances from each preshape of stack ``a`` to the preshapes of ``b``,
+    one row per kernel call: row ``i`` against ``b[i + 1:]`` when ``after``
+    (``a`` is then ``b`` less its last point), else against all of ``b``.
+
+    The rows are dealt out to forked worker processes when each worker gets
+    at least :data:`SLAB_PAIRS` pairs, there and back (workers 0, 1, ...,
+    w-1, then w-1, ..., 0, and so on): rows ``i`` and ``len(a)-1-i`` of a
+    pairwise build hold ``len(b)`` pairs together, so every worker gets the
+    same number of rows and of pairs. The rows come back in order.
+    """
+    n = len(a)
+    workers = _workers.count(min(n, (n * len(b) - after * n * (n + 1) // 2) // SLAB_PAIRS))
+    turn = np.arange(n) % (2 * workers)
+    owner = np.minimum(turn, 2 * workers - 1 - turn)
+    shares = [np.flatnonzero(owner == w) for w in range(workers)]
+
+    def rows(share):
+        return [_distances(np.broadcast_to(a[i], b[(i + 1) * after:].shape),
+                           b[(i + 1) * after:]) for i in share]
+
+    done = _workers.run([partial(rows, share) for share in shares], workers)
+    out = [None] * n   # put back in place: an np.argsort here cost 0.2 MB of peak RSS
+    for share, part in zip(shares, done):
+        for i, row in zip(share, part):
+            out[i] = row
+    return out
+
+
 @dataclass(frozen=True)
 class KendallShapeBackend:
     """Shape-manifold backend for ``k`` landmarks in R^m.
@@ -479,52 +508,26 @@ class KendallShapeBackend:
         """Distance and log-density matrices over a point list.
 
         Both are symmetric with exactly zero diagonals. Row ``i`` is measured
-        against the points after it in one kernel call. The rows are shared
-        out over forked worker processes when each share gets at least
-        :data:`SLAB_PAIRS` pairs. ``count_label`` increments the process-wide
-        build counter for cache instrumentation.
+        against the points after it (see :func:`_distance_rows`).
+        ``count_label`` increments the process-wide build counter for cache
+        instrumentation.
         """
         z = self._stack(points)
         _count_build(count_label)
-        n = len(points)
-        workers = _workers.count(n * (n - 1) // 2 // SLAB_PAIRS)
-        # rows i and n-2-i hold n pairs together, so rows dealt out there and
-        # back give each worker the same number of rows and of pairs
-        turn = np.arange(n - 1) % (2 * workers)
-        owner = np.minimum(turn, 2 * workers - 1 - turn)
-        shares = [np.flatnonzero(owner == w) for w in range(workers)]
-
-        def rows(share):
-            return [_distances(np.broadcast_to(z[i], z[i + 1:].shape), z[i + 1:])
-                    for i in share]
-
-        dist = np.zeros((n, n))
-        done = _workers.run([partial(rows, share) for share in shares], workers)
-        for share, share_rows in zip(shares, done):
-            for i, row in zip(share, share_rows):
-                dist[i, i + 1:] = dist[i + 1:, i] = row
+        dist = np.zeros((len(z), len(z)))
+        for i, row in enumerate(_distance_rows(z[:-1], z, after=True)):
+            dist[i, i + 1:] = dist[i + 1:, i] = row
+        del z   # freed, like the rows, before the log densities' n x n temporaries
         logdens = self.log_density_at(dist)
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
 
     def cross_distances(self, queries: list[PreShape],
                         points: list[PreShape]) -> NDArray:
-        """``(Q, n)`` distances from each of ``queries`` to each of ``points``.
-
-        The points are stacked and checked once; row ``q`` is then measured
-        in one kernel call, as a row of :meth:`pairwise_matrices` is. Slabs of
-        rows run on forked worker processes when each gets at least
-        :data:`SLAB_PAIRS` pairs.
-        """
+        """``(Q, n)`` distances from each of ``queries`` to each of ``points``,
+        row ``q`` measured as a row of :meth:`pairwise_matrices` is."""
         q, z = self._stack(queries), self._stack(points)
-        workers = _workers.count(min(len(q), len(q) * len(z) // SLAB_PAIRS))
-
-        def rows(slab):
-            return np.array([_distances(np.broadcast_to(zi, z.shape), z)
-                             for zi in slab]).reshape(len(slab), len(z))
-
-        return np.concatenate(_workers.run(
-            [partial(rows, slab) for slab in np.array_split(q, workers)], workers))
+        return np.array(_distance_rows(q, z)).reshape(len(q), len(z))
 
     def distances_to(self, query: PreShape, points: list[PreShape]) -> NDArray:
         return self.cross_distances([query], points)[0]

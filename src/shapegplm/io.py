@@ -65,6 +65,8 @@ def read_landmarks(path) -> NDArray[np.floating]:
         k, m = (int(tok) for tok in lines[0].split())
     except (ValueError, IndexError) as exc:
         raise InputFileError(f"malformed landmark file {path}: {exc}") from exc
+    if k < 2 or m < 1:   # a shape needs 2 landmarks of 1 coordinate or more
+        raise InputFileError(f"malformed landmark file {path}: header {k} x {m} holds no shape")
     rows = [ln.split() for ln in lines[1:k + 1]]
     if len(rows) != k or any(len(r) != m for r in rows):
         raise InputFileError(

@@ -548,6 +548,10 @@ def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
                     backend, cfg, cache)
 
 
+# The response check and IRLS family of each model that cross-validates.
+_FAMILIES = {"logistic": _logistic, "ordinal": _ordinal}
+
+
 def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
               cfg: FitConfig | None = None) -> list[GplmFit]:
     """Logistic or ordinal fits of G problems of one size, advanced together.
@@ -565,8 +569,7 @@ def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
     this runs, in this thread or any other; pass a read-only array to have
     it copied instead.
     """
-    families = {"logistic": _logistic, "ordinal": _ordinal}
-    if model not in families:
+    if model not in _FAMILIES:
         raise InvalidArgumentError(f"stacked fits are logistic/ordinal, got {model!r}")
     cfg = cfg or FitConfig()
     y = np.asarray(y, dtype=float)
@@ -582,7 +585,7 @@ def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
         raise InvalidArgumentError("design contains non-finite values")
     if y.shape[1] <= x.shape[2]:
         raise InvalidArgumentError("need more observations than covariates")
-    return _irls(model, families[model](y, cfg), w_smooth, x, spec, cfg)
+    return _irls(model, _FAMILIES[model](y, cfg), w_smooth, x, spec, cfg)
 
 
 @dataclass(frozen=True)

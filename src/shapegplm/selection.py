@@ -32,6 +32,7 @@ from .errors import DegenerateDatasetError, InvalidArgumentError
 # loocv fits through fit_stack; the per-fold fitters stay importable here
 # because bench/tracing.py wraps them under these names.
 from .models import (  # noqa: F401
+    _FAMILIES,
     FitConfig,
     fit_logistic_plm,
     fit_ordinal_plm,
@@ -175,14 +176,15 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
           use_cache: bool = True) -> CvReport:
     """Leave-one-subject-out cross-validation at a single bandwidth.
 
-    Folds whose training part lost an entire response class are skipped and
-    recorded, and so are folds whose fit diverged; if every fold is skipped
+    A response the model's fits would reject is rejected before any fold is
+    cut. Folds whose training part lost an entire response class are skipped
+    and recorded, and so are folds whose fit diverged; if every fold is skipped
     the dataset cannot be cross-validated. Folds with training sets of one
     size are fitted as stacks (see the module docstring). With
     ``use_cache=False`` each fold rebuilds its own pairwise matrices from
     scratch (the reference point for the cache benchmark).
     """
-    if model not in ("logistic", "ordinal"):
+    if model not in _FAMILIES:
         raise InvalidArgumentError(
             f"cross-validation supports logistic/ordinal, got {model!r}")
     cfg = cfg or FitConfig()
@@ -191,6 +193,7 @@ def loocv(bundle, model: str, spec: KernelSpec, cfg: FitConfig | None = None,
     shapes = bundle.shapes
     backend = bundle.backend
     full_cache = bundle.cache
+    _FAMILIES[model](y[None], cfg)   # rejects a response the fits would reject
     logistic = model == "logistic"
     predict = predict_logistic if logistic else predict_ordinal
     spec.check_against(backend)
@@ -236,9 +239,10 @@ def bandwidth_sweep(bundle, model: str, grid, cfg: FitConfig | None = None,
                     use_cache: bool = True) -> CvReport:
     """One :func:`loocv` per bandwidth, sharing the dataset cache.
 
-    Results are keyed and ordered by bandwidth, independent of grid order.
+    Results are keyed and ordered by bandwidth, independent of grid order;
+    a bandwidth listed twice is evaluated once.
     """
-    grid = sorted(float(h) for h in grid)
+    grid = sorted({float(h) for h in grid})
     if not grid or any(h <= 0 for h in grid):
         raise InvalidArgumentError("bandwidth grid must be nonempty and positive")
     merged: CvReport | None = None

@@ -368,6 +368,17 @@ class TestCli:
         assert code == 1
         assert str(bad) in err and "numerical failure" not in err
 
+    @pytest.mark.parametrize("header", ["0 3", "1 3"])
+    def test_too_few_landmarks_exit_1(self, rng, tmp_path, capsys, header):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+        bad = manifest.parent / "t0.txt"   # the first record's, which sets k and m
+        bad.write_text("\n".join([header, *bad.read_text().splitlines()[1:]]) + "\n")
+        code = main(["distances", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o"), "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(bad) in err and "numerical failure" not in err
+
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_coincident_landmarks_exit_1(self, rng, tmp_path, capsys, offset):
         manifest = write_tiny_dataset(rng, tmp_path / "ds")

@@ -3,9 +3,11 @@ reference for the stacked alignment kernel in :mod:`shapegplm.geometry`.
 
 The kernel does each pair's arithmetic in the same order as the one-pair
 evaluation, so every distance, mean and tangent vector must agree exactly,
-not to a tolerance. A memory check keeps the pairwise build row by row.
+not to a tolerance, also when the distance rows run on forked worker
+processes. A memory check keeps the pairwise build row by row.
 """
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 from shapegplm import (
     KendallShapeBackend,
     PreShape,
+    _workers,
+    geometry,
     preshape,
     procrustes_distance,
     procrustes_mean,
@@ -247,19 +251,56 @@ def test_leave_two_out_means_and_tangents_match_reference(data, macaque_bundle, 
 
 def test_pairwise_build_stays_row_by_row(monkeypatch):
     """The build measures one row against the points after it at a time, so
-    its traced peak stays a small multiple of the two ``n x n`` outputs.
+    its traced peak stays a small multiple of the two ``n x n`` outputs, and
+    the preshape stack and rows are gone before the log densities are taken.
     Gathering large pair stacks (thousands of pairs per kernel call) breaks
     the bound."""
     monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # traced in this process
-    rng = np.random.default_rng(7)
     n = 300
-    points = [preshape(rng.normal(size=(K_SYNTH, 3))).preshape for _ in range(n)]
-    backend = KendallShapeBackend(k=K_SYNTH)
-    tracemalloc.start()
-    try:
-        dist, logdens = backend.pairwise_matrices(points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dist.shape == logdens.shape == (n, n)
-    assert peak <= 6 * n * n * 8, f"peak {peak / 1e6:.2f} MB"
+    for k in (K_SYNTH, 50):
+        rng = np.random.default_rng(7)
+        points = [preshape(rng.normal(size=(k, 3))).preshape for _ in range(n)]
+        backend = KendallShapeBackend(k=k)
+        tracemalloc.start()
+        try:
+            dist, logdens = backend.pairwise_matrices(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.shape == logdens.shape == (n, n)
+        assert peak <= 6 * n * n * 8, f"k={k}: peak {peak / 1e6:.2f} MB"
+
+
+# --- forked builds -----------------------------------------------------------
+
+def planar_k6():
+    """Seeded m = 2 shapes with near copies and exact duplicates."""
+    rng = np.random.default_rng(3)
+    base = [rng.normal(size=(6, 2)) for _ in range(8)]
+    configs = base + [b + 1e-7 * rng.normal(size=b.shape) for b in base[:4]] + base[:2]
+    return [preshape(x).preshape for x in configs]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_forked_builds_match_reference(workers, monkeypatch, synth):
+    """With one pair a slab, every build of two or more rows deals them out
+    to the workers; each row still matches the per-pair loop bit for bit,
+    down to empty builds and query sets."""
+    monkeypatch.setattr(geometry, "SLAB_PAIRS", 1)
+    monkeypatch.setenv("SHAPEGPLM_THREADS", workers)
+    forks, run = [], _workers.run
+    monkeypatch.setattr(_workers, "run", lambda tasks, w: (
+        forks.append(min(w, len(tasks))) or run(tasks, w)))
+    for points, backend in ((synth, KendallShapeBackend(k=K_SYNTH)),
+                            (planar_k6(), KendallShapeBackend(k=6, m=2))):
+        for n in (0, 1, 2, 3, len(points)):
+            dist, logdens = backend.pairwise_matrices(points[:n])
+            ref_dist, ref_logdens = ref_pairwise_matrices(backend, points[:n])
+            assert np.array_equal(dist, ref_dist)
+            assert np.array_equal(logdens, ref_logdens)
+            for queries in ([], points[-1:], points[::3]):
+                ref = np.array([[ref_distance_pair(q.z, s.z) for s in points[:n]]
+                                for q in queries]).reshape(len(queries), n)
+                assert np.array_equal(backend.cross_distances(queries, points[:n]), ref)
+    assert max(forks) == int(workers)
+    assert multiprocessing.active_children() == []

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from shapegplm import (
     DegenerateDatasetError,
     FitConfig,
+    InvalidArgumentError,
     KernelSpec,
     SmootherCache,
     SphereBackend,
@@ -100,6 +102,17 @@ class TestLoocv:
         bundle.y[:] = [0.0, 0.0, 1.0, 1.0]
         with pytest.raises(DegenerateDatasetError):
             loocv(bundle, "logistic", KernelSpec(bandwidth=0.8))
+
+    def test_response_is_checked_before_any_fold(self, macaque_bundle, monkeypatch):
+        # the binary macaque labels: fit_ordinal_plm names the same problem
+        monkeypatch.setattr(selection, "run_folds", None)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"ordinal response must take values in \{1, 2, 3\}"):
+            loocv(macaque_bundle, "ordinal", KernelSpec(np.pi / 40))
+        bundle = copy.copy(macaque_bundle)
+        bundle.y = macaque_bundle.y + 1.0
+        with pytest.raises(InvalidArgumentError, match="logistic response must be 0/1"):
+            loocv(bundle, "logistic", KernelSpec(np.pi / 40))
 
     def test_needs_three_rows(self, rng):
         bundle = sphere_bundle(rng, n=30)
@@ -285,3 +298,9 @@ class TestBandwidthSweep:
     def test_empty_grid_rejected(self, macaque_bundle):
         with pytest.raises(Exception):
             bandwidth_sweep(macaque_bundle, "logistic", [])
+
+    def test_duplicated_grid_gives_the_single_bandwidth_report(self, macaque_bundle):
+        h = np.pi / 40
+        once = bandwidth_sweep(macaque_bundle, "logistic", [h])
+        assert once.bandwidths == [h]
+        assert_same_report(bandwidth_sweep(macaque_bundle, "logistic", [h, h]), once)
