@@ -273,9 +273,9 @@ def baseline_loocv(bundle, var_threshold: float = 0.98) -> CvReport:
             out.append((i, classes[int(np.argmax(probs))], probs))
         return "converged", out
 
-    def fit_folds(folds):
+    def fit_folds(_, folds):
         poles = procrustes_mean([[shapes[i] for i in train] for _, train in folds])
         return [fit_fold(*fold, pole) for fold, pole in zip(folds, poles)]
 
-    return run_folds(bundle, "baseline", 0.0, y_raw, classes, fit_folds,
+    return run_folds(bundle, "baseline", [0.0], y_raw, classes, fit_folds,
                      lambda n: geometry.MEAN_PAIRS // n)

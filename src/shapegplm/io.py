@@ -127,8 +127,8 @@ def read_manifest(path) -> DatasetManifest:
         rows.append(ln)
     if not rows:
         raise InputFileError(f"manifest {path} has no records")
-    reader = csv.DictReader(rows)
-    field_names = [f.strip() for f in (reader.fieldnames or [])]
+    reader = csv.reader(rows)
+    field_names = [f.strip() for f in next(reader)]
     required = {"id", "file", "response"}
     if not required <= set(field_names):
         raise InputFileError(
@@ -137,10 +137,13 @@ def read_manifest(path) -> DatasetManifest:
                       if f not in required and f != "subject")
     records = []
     ids_seen = set()
-    for row in reader:
-        row = {k.strip(): (v.strip() if isinstance(v, str) else v)
-               for k, v in row.items()}
-        rid = row["id"]
+    for values in reader:
+        row = dict(zip(field_names, (v.strip() for v in values)))
+        rid = row.get("id", values[0].strip())
+        if len(values) != len(field_names):
+            raise InputFileError(
+                f"manifest {path} row {rid!r} has {len(values)} fields; its "
+                f"header has {len(field_names)}")
         if rid in ids_seen:
             raise InputFileError(f"duplicate record id {rid!r} in manifest {path}")
         ids_seen.add(rid)

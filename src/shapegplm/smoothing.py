@@ -120,7 +120,13 @@ def _weighted_average(w: NDArray, targets: NDArray) -> NDArray[np.floating]:
     """``w @ targets`` for one row of weights ``(n,)`` over targets ``(n, L)``,
     a matrix ``(m, n)`` of them, or a stack ``(G, m, n)`` over ``(G, n, L)``."""
     # Averaging deviations from the column mean keeps constant targets exact.
-    tbar = np.add.reduce(targets, axis=-2, keepdims=True) / targets.shape[-2]
+    if targets.ndim == 3 and targets.shape[-1] > 1 and targets.flags.c_contiguous:
+        # numpy sums these over n in sequence, with a short inner loop; an
+        # n-major copy sums in the same order over long rows
+        n_major = np.ascontiguousarray(np.moveaxis(targets, 1, 0))
+        tbar = np.add.reduce(n_major, axis=0)[:, None, :] / targets.shape[-2]
+    else:   # e.g. (n, L) or (G, n, 1), which numpy sums pairwise over n
+        tbar = np.add.reduce(targets, axis=-2, keepdims=True) / targets.shape[-2]
     out = tbar + w @ (targets - tbar)
     return out[0] if w.ndim == 1 else out
 

@@ -413,6 +413,20 @@ class TestCli:
         assert str(manifest) in err and "changed" in err
         assert not (tmp_path / "p" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("row, fields", [
+        ("m1,m1.txt,0,113.9148173930591,extra", 5), ("m1,m1.txt,0", 3)])
+    def test_manifest_row_with_another_field_count_exits_1(self, tmp_path, capsys,
+                                                           row, fields):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(MACAQUE_MANIFEST.read_text().replace(
+            "m1,m1.txt,0,113.9148173930591", row))
+        code = main(["cv", "--manifest", str(manifest), "--model", "logistic",
+                     "--grid", "pi/50", "--out", str(tmp_path / "cv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"shapegplm cv: manifest {manifest} row 'm1' has {fields} fields; "
+            "its header has 4\n")
+
     @pytest.mark.parametrize("damage", ["no model entry", "not JSON", "not an object",
                                         "non-numeric slope"])
     def test_malformed_fit_state_exits_1(self, rng, tmp_path, capsys, damage):

@@ -2,11 +2,13 @@
 
 The sweep's helpers were rewritten with fewer numpy calls: a branch-free
 ``_expit``, ``np.minimum(np.maximum(...))`` for ``np.clip``,
-``np.add.reduce(...) / n`` for ``.mean`` and a flat gather for the ordinal
-deviance. The reference forms they replace are kept here verbatim, and every
-output must match them bit for bit, signs of zeros and NaNs included, on the
-values where floating point is least forgiving: signed zeros, infinities,
-NaNs, the edges of ``exp``'s range and subnormals.
+``np.add.reduce(...) / n`` for ``.mean`` (over an n-major copy for stacked
+targets of several columns), a flat gather for the ordinal deviance and an
+elementwise product for a one-covariate ``x @ b``. The reference forms they
+replace are kept here verbatim, and every output must match them bit for bit,
+signs of zeros and NaNs included, on the values where floating point is least
+forgiving: signed zeros, infinities, NaNs, the edges of ``exp``'s range and
+subnormals.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from shapegplm.models import (
     _ordinal_category_probs,
     _ordinal_deviance_mean,
     _solve,
+    _times,
 )
 from shapegplm.smoothing import _weighted_average
 
@@ -103,7 +106,7 @@ SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                     5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
                     36.0, -36.0, 37.0, -37.0, 1e-17, -1e-17])
 N = 40
-SHAPES = [(1, N, 1), (3, N, 2)]
+SHAPES = [(1, N, 1), (3, N, 2), (45, 88, 2)]
 
 
 def filled(shape, seed):
@@ -151,6 +154,9 @@ def test_weighted_average(shape):
     for t in (filled(shape, 3), rng.standard_normal(shape) * 1e3):
         with np.errstate(all="ignore"):
             assert_same_bits(_weighted_average(w, t), ref_weighted_average(w, t))
+    # numpy sums over n pairwise when n is the contiguous axis
+    t = np.asfortranarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+    assert_same_bits(_weighted_average(w, t), ref_weighted_average(w, t))
     t = filled((n, 2), 4)
     with np.errstate(all="ignore"):
         assert_same_bits(_weighted_average(w[0], t), ref_weighted_average(w[0], t))
@@ -209,3 +215,21 @@ def test_one_covariate_solve(shape):
     b = rng.standard_normal(shape[:-1]) * 10.0 ** rng.integers(-100, 100, shape[:-1])
     for ridge in (0.0, 1e-8):
         assert_same_bits(_solve(A, b, ridge), ref_solve(A, b, ridge))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, N, 1), (45, 88, 1)])
+def test_one_covariate_product(shape):
+    # finite values: a one-term matmul adds the product to +0, which turns a
+    # -0 product into +0 as the added 0.0 does
+    finite = SPECIAL[np.isfinite(SPECIAL) & (np.abs(SPECIAL) < 1e300)]
+    rng = np.random.default_rng(12)
+    G, n, _ = shape
+    pool = np.concatenate([finite, rng.standard_normal(G * n)
+                           * 10.0 ** rng.integers(-150, 150, G * n)])
+    x = rng.choice(pool, shape)
+    x.flat[:len(finite)] = finite[:x.size]
+    for b in (np.resize(rng.permutation(finite), (G, 1, 1)), rng.choice(pool, (G, 1, 1))):
+        assert_same_bits(_times(x, b), x @ b)
+    b = rng.standard_normal((G, 2, 1))
+    x2 = rng.choice(pool, (G, n, 2))
+    assert_same_bits(_times(x2, b), x2 @ b)

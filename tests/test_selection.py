@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -17,12 +18,15 @@ from shapegplm import (
     loocv,
     selection,
 )
-from shapegplm.io import DatasetBundle
+from shapegplm.cli import main
+from shapegplm.io import DatasetBundle, ingest
+from shapegplm.selection import CvReport
 
-from conftest import sphere_points
+from conftest import REPO_ROOT, sphere_points
 from test_acceptance import synthetic_sphere_ordinal
 from test_reference_fitters import assert_same_fit
-from test_stacked_folds import assert_same_report
+from test_stacked_folds import assert_same_report, unequal_subjects_bundle
+from test_workers import record_runs
 
 
 def sphere_bundle(rng, n=30, n_classes=2, subjects=None):
@@ -250,10 +254,20 @@ class TestStackCap:
         # Calibrated with a 2^16 cap, where the peak was 1.8 times the cap's
         # bytes at both bandwidths (1.6 times with 2^17). In the last case
         # folds stop mid-stack, which took 3.5 times while a stack compacted
-        # into a copy of its weights.
+        # into a copy of its weights. The 2^19 cap fits the 45 folds as one
+        # stack; the peak is 1.45 times its weights' bytes, and 1.8 times in
+        # the last case.
         bundle = paired_subjects_bundle(90)  # 45 folds of 88 training rows
         monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # traced in this process
+        fit_stack, widest = selection.fit_stack, [0]
+
+        def spy(model, y, x, w_smooth, *args):
+            widest[0] = max(widest[0], w_smooth.size)
+            return fit_stack(model, y, x, w_smooth, *args)
+
+        monkeypatch.setattr(selection, "fit_stack", spy)
         for h, max_iter in ((np.pi / 20, 5), (np.pi / 80, 5), (np.pi / 80, 300)):
+            widest[0] = 0
             tracemalloc.start()
             try:
                 report = loocv(bundle, "ordinal", KernelSpec(bandwidth=h),
@@ -261,15 +275,18 @@ class TestStackCap:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            # the bound the cap sets, and one that a raised cap cannot loosen
+            assert widest[0] == 45 * 88 ** 2
+            for bound in (3 * selection.STACK_WEIGHTS * 8, 3 * widest[0] * 8):
+                assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
             if max_iter == 300:
                 assert report.fit_status[h]["converged"] > 0
                 assert report.fit_status[h]["max_iter"] > 0
-                monkeypatch.setattr(selection, "STACK_WEIGHTS", 88 ** 2)
-                assert_same_report(report, loocv(bundle, "ordinal", KernelSpec(bandwidth=h),
-                                                 FitConfig(max_iter=max_iter)))
-                monkeypatch.undo()
-            bound = 3 * selection.STACK_WEIGHTS * 8
-            assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+                with monkeypatch.context() as m:
+                    m.setattr(selection, "STACK_WEIGHTS", 88 ** 2)
+                    assert_same_report(report, loocv(bundle, "ordinal",
+                                                     KernelSpec(bandwidth=h),
+                                                     FitConfig(max_iter=max_iter)))
 
 
 class TestBandwidthSweep:
@@ -304,3 +321,80 @@ class TestBandwidthSweep:
         once = bandwidth_sweep(macaque_bundle, "logistic", [h])
         assert once.bandwidths == [h]
         assert_same_report(bandwidth_sweep(macaque_bundle, "logistic", [h, h]), once)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("folds_per_stack", [None, 4])
+    def test_grid_report_is_the_per_bandwidth_reports(self, monkeypatch, threads,
+                                                       folds_per_stack):
+        # subjects of 1, 2 and 3 rows: 10 folds of each of three training sizes
+        bundle = unequal_subjects_bundle()
+        grid = [np.pi / 20, np.pi / 8, np.pi / 4]
+        cfg = FitConfig(max_iter=40)
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "1")
+        alone = [loocv(bundle, "ordinal", KernelSpec(h), cfg) for h in grid]
+        monkeypatch.setenv("SHAPEGPLM_THREADS", threads)
+        tasks = 9   # one stack per bandwidth and size
+        if folds_per_stack:
+            monkeypatch.setattr(selection, "STACK_WEIGHTS", folds_per_stack * 59 ** 2)
+            tasks = 27  # three per bandwidth and size
+        calls = record_runs(monkeypatch)
+        swept = bandwidth_sweep(bundle, "ordinal", grid[::-1], cfg)
+        assert calls == [(tasks, int(threads))]
+        assert multiprocessing.active_children() == []
+        assert_same_report(swept, CvReport(
+            model="ordinal", bandwidths=grid,
+            accuracy={h: r.accuracy[h] for h, r in zip(grid, alone)},
+            n_evaluated={h: r.n_evaluated[h] for h, r in zip(grid, alone)},
+            n_correct={h: r.n_correct[h] for h, r in zip(grid, alone)},
+            predictions=[p for r in alone for p in r.predictions],
+            confusion={h: r.confusion[h] for h, r in zip(grid, alone)},
+            skipped_folds={h: r.skipped_folds[h] for h, r in zip(grid, alone)},
+            fit_status={h: r.fit_status[h] for h, r in zip(grid, alone)}))
+
+
+@pytest.fixture(scope="module")
+def compare_manifest(tmp_path_factory):
+    """The benchmark's ``ordinal_compare`` training data on a warm distance
+    cache: 90 rows, k = 7, two rows per subject, so 45 folds of 88 training
+    rows."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(REPO_ROOT / "bench"))
+        import workloads as wl
+    data = wl.generate(wl.WORKLOADS["full"]["ordinal_compare"], 1,
+                       tmp_path_factory.mktemp("compare"))
+    ingest(data["train"]["manifest"])
+    return str(data["train"]["manifest"])
+
+
+class TestGridPool:
+    def test_one_pool_of_one_stack_per_bandwidth(self, compare_manifest, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "2")
+        calls = record_runs(monkeypatch)
+        assert main(["cv", "--manifest", compare_manifest, "--model", "ordinal",
+                     "--grid", "pi/80,pi/40", "--max-iter", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [(2, 2)]
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_grid_pool_reads_as_the_serial_error(
+            self, compare_manifest, tmp_path, monkeypatch, capsys):
+        # at 1e-160 every held-out row's kernel weights underflow; the pi/40
+        # stack fits beside it on the other worker
+        argv = ["cv", "--manifest", compare_manifest, "--model", "ordinal",
+                "--grid", "1e-160,pi/40", "--max-iter", "5",
+                "--out", str(tmp_path)]
+        calls = record_runs(monkeypatch)
+        seen = {}
+        for setting in ("1", "2"):
+            monkeypatch.setenv("SHAPEGPLM_THREADS", setting)
+            seen[setting] = main(argv), capsys.readouterr()
+            assert multiprocessing.active_children() == []
+        assert calls == [(2, 1), (2, 2)]
+        assert seen["2"] == seen["1"]
+        code, out = seen["2"]
+        assert code == 2 and out.out == ""
+        assert out.err == ("shapegplm cv: numerical failure: kernel weights "
+                           "underflowed at query '<one of 2 query points>'; "
+                           "increase the bandwidth\n")
+        assert not (tmp_path / "cv_report.csv").exists()
