@@ -200,6 +200,13 @@ def _cmd_predict(args) -> int:
         raise InputFileError(
             f"training data of {state['manifest']} changed since {args.fit} "
             "was written; run `fit` again")
+    # the file could hold arrays that no fit to these training data has
+    logits = 1 if fit.model == "logistic" else 2
+    for name, got, need in (("beta", fit.beta.shape, train.x.shape[1:]),
+                            ("z_final", fit.z_final.shape, (len(train.ids), logits))):
+        if got != need:
+            raise InputFileError(f"fit state {args.fit} holds {name} of shape {got}; "
+                                 f"a {fit.model} fit to its training data has {need}")
     query = dio.read_dataset(args.input)
     # by name: reordered covariate columns would pass a check by position
     for what, got, need in (

@@ -15,10 +15,13 @@ smoother residuals on smoother residuals.
   working step differs: weights ``p(1-p)`` for the logistic family, 2x2
   per-subject weight matrices for the ordinal one.
 
-The loop advances a stack of G problems of one size together: arrays carry a
-leading problem axis, ``(G, n, L)`` for the working quantities and
-``(G, n, n)`` for the smoother weights, and every operation acts on each
-problem's slice exactly as it would on that problem alone, so a stacked fit
+The loop advances a stack of G problems of one size together. The smoother
+weights ``(G, n, n)`` and the designs ``(G, n, p)`` carry a leading problem
+axis; the working quantities (linear predictors, probabilities, working
+responses and their smooths) are held logit-major, ``(L, G, n)``, so that
+every elementwise step runs over long contiguous rows, and each problem's
+smooth is its own ``(n, n) @ (n, L)`` product. Every operation acts on each
+problem's values exactly as it would on that problem alone, so a stacked fit
 equals the single fit bit for bit. Each problem keeps its own stop rules;
 one that stops is written out as a :class:`GplmFit` and dropped from the
 stack. :func:`fit_logistic_plm` and :func:`fit_ordinal_plm` run a stack of
@@ -48,6 +51,8 @@ from .smoothing import (
     KernelSpec,
     SmootherCache,
     _checked_cache,
+    _finite,
+    _weighted_average,
     apply_weights,
     normalised_weight_matrix,
     smooth_at,
@@ -224,14 +229,17 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
     problems of one size.
 
     ``w_smooth`` holds each problem's ``n x n`` row-normalised smoother
-    weights and ``x`` its ``n x p`` design. ``family`` is ``(phi0, data,
-    step, normal)``: the ``(G, n, L)`` starting smooth, one column per logit;
-    a tuple of per-problem response arrays; ``step(data, eta, prob)``, which
-    takes the linear predictor and the fitted probabilities ``expit(eta)``
-    and returns each problem's mean deviance, the working response and a
-    tuple of its weights; and ``normal(xc, weights, r)``, which returns the
-    weighted normal equations ``(A, b)`` of the slope from the smoother
-    residuals ``xc`` of the design and ``r`` of the working response.
+    weights and ``x`` its ``n x p`` design. The working quantities are held
+    logit-major, ``(L, G, n)``, so that every elementwise step runs over long
+    contiguous rows. ``family`` is ``(phi0, data, step, normal)``: the
+    ``(L, G, n)`` starting smooth; a tuple of per-problem response arrays;
+    ``step(data, eta, prob)``, which takes the linear predictor and the
+    fitted probabilities ``expit(eta)`` and returns each problem's mean
+    deviance, the working response and a tuple of its weights; and
+    ``normal(xc, weights, r)``, which returns the weighted normal equations
+    ``(A, b)`` of the slope from the smoother residuals ``xc`` of the design
+    and ``r`` of the working response. The response arrays, the weights and
+    the working quantities all have the problem axis second to last.
 
     A problem stops on a relative slope change below ``cfg.threshold``
     ("converged"), on the separation plateau (a saturated probability or a
@@ -256,20 +264,25 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
     fits: list[GplmFit | None] = [None] * len(rows)
     stack, swaps = w_smooth, []  # w_smooth is the live front of stack
 
-    def stop(done, status, carried=()):
-        """Write out the problems flagged in ``done`` and drop them from the
+    def stop(statuses, carried=()):
+        """Write out each problem given a status in ``statuses`` (one entry
+        per stacked problem, None for one that goes on) and drop it from the
         stack; returns the kept part of each array in ``carried``."""
         nonlocal rows, x, phi, xc, w_smooth, phi0, beta, z, data
-        for j in np.flatnonzero(done).tolist():
+        for j, status in enumerate(statuses):
+            if status is None:
+                continue
             k = rows[j]
+            phi0_j = np.ascontiguousarray(phi0[:, j].T)
             fits[k] = GplmFit(
-                model=model, beta=beta[j], phi0=phi0[j], phi=phi[j],
-                g=phi0[j] - (phi[j] @ beta[j])[:, None], z_final=z[j],
+                model=model, beta=beta[j], phi0=phi0_j, phi=phi[j],
+                g=phi0_j - (phi[j] @ beta[j])[:, None],
+                z_final=np.ascontiguousarray(z[:, j].T),
                 iterations=len(traces[k]), converged=(status == "converged"),
                 status=status, bandwidth=spec.bandwidth, e_trace=traces[k])
         # each stopped problem in the front gives its place to a kept one
         # from the back, so every problem moves at most once
-        stopped = done.tolist()
+        stopped = [status is not None for status in statuses]
         kept = [j for j, d in enumerate(stopped) if not d]
         order = list(range(len(kept)))
         holes = [j for j in order if stopped[j]]
@@ -280,25 +293,28 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
         rows = [rows[j] for j in order]
         w_smooth = stack[:len(order)]
         order = np.array(order, dtype=np.intp)
-        x, phi, xc, phi0, beta, z = (a[order] for a in (x, phi, xc, phi0, beta, z))
-        data = tuple(a[order] for a in data)
-        return [a[order] for a in carried]
+        x, phi, xc, beta = (a[order] for a in (x, phi, xc, beta))
+        phi0, z = phi0[:, order], z[:, order]
+        data = tuple(a[..., order, :] for a in data)
+        return [a[..., order, :] for a in carried]
 
     try:
         for it in range(1, cfg.max_iter + 1):
             b = beta[:, :, None]
-            eta = _times(x, b) + (phi0 - _times(phi, b))
+            eta = _times(x, b)[..., 0] + (phi0 - _times(phi, b)[..., 0])
             prob = _expit(eta)
             deviance, z_new, weights = step(data, eta, prob)
             if it > 1:
                 separated = ((deviance < cfg.separation_deviance)
-                             | ((prob == 0.0) | (prob == 1.0)).any(axis=(1, 2)))
+                             | ((prob == 0.0) | (prob == 1.0)).any(axis=(0, 2)))
                 if separated.any():
-                    z_new, *weights = stop(separated, "separation", (z_new, *weights))
+                    z_new, *weights = stop(
+                        ["separation" if s else None for s in separated.tolist()],
+                        (z_new, *weights))
                     if not rows:
                         break
             z = z_new
-            phi0 = apply_weights(w_smooth, z)
+            phi0 = _weighted_average(w_smooth, _finite(z), logit_major=True)
             beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
             norm = _row_norms(beta_new)
             e = _row_norms(beta_new - beta) / np.maximum(norm, 1e-300)
@@ -308,14 +324,12 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
             diverged = norm > cfg.divergence_norm
             converged = e < cfg.threshold
             if (diverged | converged).any():
-                if diverged.any():
-                    converged, = stop(diverged, "diverged", (converged,))
-                if converged.any():
-                    stop(converged, "converged")
+                stop(["diverged" if d else "converged" if c else None
+                      for d, c in zip(diverged.tolist(), converged.tolist())])
                 if not rows:
                     break
         if rows:
-            stop(np.ones(len(rows), dtype=bool), "max_iter")
+            stop(["max_iter"] * len(rows))
     finally:
         for pair in reversed(swaps):
             stack[pair] = stack[pair[::-1]]
@@ -348,15 +362,14 @@ def _logistic(y: NDArray, cfg: FitConfig):
         y, = data
         pc = np.minimum(np.maximum(pr, eps), 1.0 - eps)
         w = pc * (1.0 - pc)
-        return (_binary_deviance_mean(y, eta[..., 0]),
-                eta + (y[..., None] - pc) / w, (w,))
+        return _binary_deviance_mean(y, eta[0]), eta + (y - pc) / w, (w,)
 
     def normal(xc, weights, r):
         w, = weights
         xt = xc.swapaxes(-1, -2)
-        return xt @ (w * xc), (xt @ (w * r))[..., 0]
+        return xt @ (w[0, ..., None] * xc), (xt @ (w * r)[0, ..., None])[..., 0]
 
-    return np.full(y.shape + (1,), -0.5), (y,), step, normal
+    return np.full((1,) + y.shape, -0.5), (y,), step, normal
 
 
 def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
@@ -466,17 +479,20 @@ def _ordinal_weights(p1, p2, p3):
     return (1.0 - p3) / (p1 * p2), -1.0 / p2, (1.0 - p1) / (p3 * p2)
 
 
-def _ordinal_category_probs(gam: NDArray) -> NDArray[np.floating]:
-    """``... x 3`` category probabilities from ``... x 2`` cumulative ones."""
-    return np.stack([gam[..., 0], gam[..., 1] - gam[..., 0], 1.0 - gam[..., 1]],
-                    axis=-1)
+def _ordinal_category_probs(gam: NDArray, axis: int = -1) -> NDArray[np.floating]:
+    """Category probabilities, 3 along ``axis``, from cumulative ones, 2 along
+    ``axis``: ``... x 3`` from ``... x 2``, or ``3 x ...`` from ``2 x ...``."""
+    g1, g2 = np.moveaxis(gam, axis, 0) if axis else gam
+    return np.stack([g1, g2 - g1, 1.0 - g2], axis=axis)
 
 
-def _ordinal_deviance_mean(y_idx: NDArray, pimat: NDArray):
+def _ordinal_deviance_mean(y_idx: NDArray, pimat: NDArray, axis: int = -1):
     """Mean of ``-log pi`` of the observed categories ``y_idx`` (0-based)
-    over the last axis; ``pimat`` is the contiguous ``y_idx.shape + (3,)``
-    array from :func:`_ordinal_category_probs`."""
-    pobs = pimat.take(np.arange(0, pimat.size, 3).reshape(y_idx.shape) + y_idx)
+    over the last axis; ``pimat`` is the contiguous array from
+    :func:`_ordinal_category_probs` with the same ``axis``, ``y_idx.shape +
+    (3,)`` or ``(3,) + y_idx.shape``."""
+    at = np.arange(y_idx.size).reshape(y_idx.shape)
+    pobs = pimat.take(y_idx * y_idx.size + at if axis == 0 else 3 * at + y_idx)
     return -(np.add.reduce(np.log(np.maximum(pobs, 1e-300, out=pobs)), axis=-1)
              / y_idx.shape[-1])
 
@@ -491,27 +507,26 @@ def _ordinal(y: NDArray, cfg: FitConfig):
         raise InvalidArgumentError("all three categories must be present")
     eps = cfg.prob_floor
     y_idx = np.asarray(y, dtype=int) - 1
-    Y = np.stack([(y <= 1).astype(float), (y <= 2).astype(float)], axis=-1)
-    cum = np.stack([(y <= 1).mean(axis=-1), (y <= 2).mean(axis=-1)], axis=-1)
+    Y = np.stack([(y <= 1).astype(float), (y <= 2).astype(float)])
+    cum = np.stack([(y <= 1).mean(axis=-1), (y <= 2).mean(axis=-1)])
 
     def step(data, eta, gam):
         Y, y_idx = data
-        pimat = _ordinal_category_probs(gam)
-        deviance = _ordinal_deviance_mean(y_idx, pimat)
+        pimat = _ordinal_category_probs(gam, axis=0)
+        deviance = _ordinal_deviance_mean(y_idx, pimat, axis=0)
         # clipped in place: the deviance above took the unclipped values
-        picl = np.minimum(np.maximum(pimat, eps, out=pimat), 1.0 - eps, out=pimat)
-        p1, p2, p3 = picl[..., 0], picl[..., 1], picl[..., 2]
+        p1, p2, p3 = np.minimum(np.maximum(pimat, eps, out=pimat), 1.0 - eps, out=pimat)
         gamc = np.minimum(np.maximum(gam, eps), 1.0 - eps)
-        dlink = gamc * (1.0 - gamc)                  # n x 2, gam_k (1 - gam_k)
+        dlink = gamc * (1.0 - gamc)                  # 2 x G x n, gam_k (1 - gam_k)
         resid = Y - gamc
         W11, W12, W22 = _ordinal_weights(p1, p2, p3)  # inverse indicator covariance
         if cfg.irls_variant == "paper":
             z = eta + dlink * resid
         else:
             z = eta + resid / dlink
-            W11 = dlink[..., 0] * W11 * dlink[..., 0]
-            W12 = dlink[..., 0] * W12 * dlink[..., 1]
-            W22 = dlink[..., 1] * W22 * dlink[..., 1]
+            W11 = dlink[0] * W11 * dlink[0]
+            W12 = dlink[0] * W12 * dlink[1]
+            W22 = dlink[1] * W22 * dlink[1]
         return deviance, z, (W11, W12, W22)
 
     def normal(xc, W, r):
@@ -519,11 +534,11 @@ def _ordinal(y: NDArray, cfg: FitConfig):
         # The stacked design repeats each covariate row across both logits, so
         # the normal equations reduce to scalar weights 1^T W_i 1 per subject.
         wsum = W11 + 2.0 * W12 + W22
-        rhs = W11 * r[..., 0] + W12 * (r[..., 0] + r[..., 1]) + W22 * r[..., 1]
+        rhs = W11 * r[0] + W12 * (r[0] + r[1]) + W22 * r[1]
         return ((xc * wsum[..., None]).swapaxes(-1, -2) @ xc,
                 (xc.swapaxes(-1, -2) @ rhs[..., None])[..., 0])
 
-    start = np.repeat(np.log(cum / (1.0 - cum))[:, None, :], y.shape[-1], axis=1)
+    start = np.repeat(np.log(cum / (1.0 - cum))[..., None], y.shape[-1], axis=-1)
     return start, (Y, y_idx), step, normal
 
 

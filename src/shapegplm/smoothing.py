@@ -95,9 +95,10 @@ def kernel_weight(d: float, spec: KernelSpec) -> float:
 
 def _log_weights(dist, logdens, spec: KernelSpec) -> NDArray[np.floating]:
     h = spec.bandwidth
-    # extreme bandwidths may overflow to -inf here; the normalisation guard
-    # turns that into BandwidthTooSmallError
-    with np.errstate(divide="ignore", over="ignore"):
+    # extreme bandwidths may overflow to -inf here, or give 0/0 = NaN on the
+    # diagonal when h * h underflows; the normalisation guard turns either
+    # into BandwidthTooSmallError
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (-np.asarray(logdens, float)
                 - np.asarray(dist, float) ** 2 / (2.0 * h * h))
 
@@ -116,19 +117,34 @@ def _normalised(logw: NDArray, query) -> NDArray[np.floating]:
     return w
 
 
-def _weighted_average(w: NDArray, targets: NDArray) -> NDArray[np.floating]:
+def _weighted_average(w: NDArray, targets: NDArray,
+                      logit_major: bool = False) -> NDArray[np.floating]:
     """``w @ targets`` for one row of weights ``(n,)`` over targets ``(n, L)``,
-    a matrix ``(m, n)`` of them, or a stack ``(G, m, n)`` over ``(G, n, L)``."""
+    a matrix ``(m, n)`` of them, or a stack ``(G, m, n)`` over ``(G, n, L)``.
+
+    With ``logit_major`` the stack of targets and the result are held as
+    ``(L, G, n)`` and ``(L, G, m)``, as the IRLS sweep holds them, and are
+    smoothed exactly as the C-ordered ``(G, n, L)`` stack of the same values.
+    """
+    axis = -1 if logit_major else -2   # the axis of the n sample points
+    n, columns = targets.shape[axis], targets.shape[0 if logit_major else -1]
     # Averaging deviations from the column mean keeps constant targets exact.
-    if targets.ndim == 3 and targets.shape[-1] > 1 and targets.flags.c_contiguous:
-        # numpy sums these over n in sequence, with a short inner loop; an
-        # n-major copy sums in the same order over long rows
-        n_major = np.ascontiguousarray(np.moveaxis(targets, 1, 0))
-        tbar = np.add.reduce(n_major, axis=0)[:, None, :] / targets.shape[-2]
+    if targets.ndim == 3 and columns > 1 and (logit_major or targets.flags.c_contiguous):
+        # numpy sums a C-ordered stack over n in sequence, with a short inner
+        # loop; an n-major copy sums in the same order over long rows
+        n_major = np.ascontiguousarray(targets.transpose((2, 0, 1) if logit_major
+                                                         else (1, 0, 2)))
+        tbar = np.add.reduce(n_major, axis=0) / n
+        tbar = tbar[..., None] if logit_major else tbar[:, None, :]
     else:   # e.g. (n, L) or (G, n, 1), which numpy sums pairwise over n
-        tbar = np.add.reduce(targets, axis=-2, keepdims=True) / targets.shape[-2]
-    out = tbar + w @ (targets - tbar)
-    return out[0] if w.ndim == 1 else out
+        tbar = np.add.reduce(targets, axis=axis, keepdims=True) / n
+    if not logit_major:
+        out = tbar + w @ (targets - tbar)
+        return out[0] if w.ndim == 1 else out
+    # the products take each problem's C-ordered (n, L) deviations, as above
+    dev = np.ascontiguousarray((targets - tbar).transpose(1, 2, 0))
+    return np.add(tbar, (w @ dev).transpose(2, 0, 1),
+                  out=np.empty((len(targets),) + w.shape[:-1]))
 
 
 def normalised_weight_matrix(cache: SmootherCache, spec: KernelSpec) -> NDArray:
@@ -142,13 +158,20 @@ def normalised_weight_matrix(cache: SmootherCache, spec: KernelSpec) -> NDArray:
                        query="<all sample points>")
 
 
-def apply_weights(w: NDArray, targets) -> NDArray[np.floating]:
-    """Smooth targets ``(n,)`` or ``(n, L)`` with row-normalised weights
-    ``(n,)`` or ``(m, n)``, or a stack of targets ``(G, n, L)`` with weights
-    ``(G, m, n)``, each slice as it would alone. Every smooth ends here."""
+def _finite(targets) -> NDArray[np.floating]:
+    """``targets`` as floats, once they are known to be finite."""
     t = np.asarray(targets, dtype=float)
     if not np.isfinite(t).all():
         raise InvalidArgumentError("targets contain non-finite values")
+    return t
+
+
+def apply_weights(w: NDArray, targets) -> NDArray[np.floating]:
+    """Smooth targets ``(n,)`` or ``(n, L)`` with row-normalised weights
+    ``(n,)`` or ``(m, n)``, or a stack of targets ``(G, n, L)`` with weights
+    ``(G, m, n)``, each slice as it would alone. Every smooth ends in its
+    core, which the IRLS sweep calls directly on its logit-major targets."""
+    t = _finite(targets)
     if t.ndim == 1:
         return _weighted_average(w, t[:, None])[..., 0]
     return _weighted_average(w, t)

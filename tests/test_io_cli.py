@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -454,6 +457,42 @@ class TestCli:
         assert str(state_path) in err and "numerical failure" not in err
         if damage == "no model entry":
             assert "'model'" in err
+
+    @pytest.mark.parametrize("argv", [["fit", "--model", "plm", "--h", "1e-300"],
+                                      ["cv", "--model", "logistic", "--grid", "1e-300"]])
+    def test_bandwidth_whose_square_underflows_prints_one_line(self, tmp_path, argv):
+        # run as a command: a warning would print to stderr before the message
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "shapegplm.cli", argv[0], "--manifest",
+             str(MACAQUE_MANIFEST), *argv[1:], "--out", str(tmp_path), "--no-cache"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"shapegplm {argv[0]}: numerical failure: kernel weights underflowed "
+            "at query '<all sample points>'; increase the bandwidth\n")
+
+    @pytest.mark.parametrize("entry, value, shape, need", [
+        ("beta", [1.0, 2.0], (2,), (1,)),
+        ("z_final", [[0.5]] * 5, (5, 1), (18, 1)),
+        ("z_final", [[0.5, 0.5]] * 18, (18, 2), (18, 1))])
+    def test_fit_state_with_wrong_shapes_exits_1(self, tmp_path, capsys, entry,
+                                                 value, shape, need):
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(MACAQUE_MANIFEST), "--model", "logistic",
+                     "--h", "pi/25", "--out", str(out), "--no-cache"]) == 0
+        state_path = out / "fit_state.json"
+        state = json.loads(state_path.read_text())
+        state[entry] = value
+        state_path.write_text(json.dumps(state))
+        capsys.readouterr()
+        code = main(["predict", "--fit", str(state_path), "--input",
+                     str(MACAQUE_MANIFEST), "--out", str(tmp_path / "p"), "--no-cache"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"shapegplm predict: fit state {state_path} holds {entry} of shape "
+            f"{shape}; a logistic fit to its training data has {need}\n")
+        assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
 class TestModelState:

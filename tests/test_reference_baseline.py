@@ -166,22 +166,28 @@ def test_fold_fits_match_reference_on_cloud_bundle(rng, monkeypatch):
     monkeypatch.setenv("SHAPEGPLM_THREADS", "1")
     fits = {}
 
-    def recording(fitter, key):
-        def fit(y, x, **kwargs):
+    def ref_stack(ys, xs, *args):
+        """A stack of fold fits, one at a time through the reference Newton,
+        in the form the stacked Newton returns them."""
+        out = []
+        for y, x in zip(ys, xs):
             try:
-                out = fitter(y, x, **kwargs)
-            except NonConvergenceError:
-                out = None
-            fits.setdefault(key, []).append(out)
-            if out is None:
-                raise NonConvergenceError("recorded")
+                out.append((*ref_fit_cumulative_logit(y, x, *args), None))
+            except NonConvergenceError as exc:
+                out.append(exc)
+        return out
+
+    def recording(fitter, key):
+        def fit(ys, xs, *args):
+            out = fitter(ys, xs, *args)
+            fits.setdefault(key, []).extend(
+                None if isinstance(o, NonConvergenceError) else o[:2] for o in out)
             return out
         return fit
 
     reports = {}
-    for key, fitter in (("new", fit_cumulative_logit),
-                        ("ref", ref_fit_cumulative_logit)):
-        monkeypatch.setattr(baselines, "fit_cumulative_logit", recording(fitter, key))
+    for key, fitter in (("new", baselines._newton), ("ref", ref_stack)):
+        monkeypatch.setattr(baselines, "_newton", recording(fitter, key))
         reports[key] = baseline_loocv(bundle, var_threshold=0.98)
     assert len(fits["new"]) == len(fits["ref"]) == 18
     assert any(f is not None for f in fits["ref"])

@@ -9,6 +9,10 @@ replace are kept here verbatim, and every output must match them bit for bit,
 signs of zeros and NaNs included, on the values where floating point is least
 forgiving: signed zeros, infinities, NaNs, the edges of ``exp``'s range and
 subnormals.
+
+The sweep holds its working quantities logit-major, ``(L, G, n)``, where the
+reference forms take ``(G, n, L)``: the pins hand the helpers transposed
+copies of the same inputs and transpose their outputs back.
 """
 
 import numpy as np
@@ -119,6 +123,16 @@ def filled(shape, seed):
     return rng.permutation(pool).reshape(shape)
 
 
+def logit_major(a):
+    """A ``(G, n, L)`` array as the sweep holds it, ``(L, G, n)``."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def problem_major(a):
+    """An ``(L, G, n)`` array of the sweep as ``(G, n, L)``."""
+    return np.moveaxis(a, 0, -1)
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -154,6 +168,8 @@ def test_weighted_average(shape):
     for t in (filled(shape, 3), rng.standard_normal(shape) * 1e3):
         with np.errstate(all="ignore"):
             assert_same_bits(_weighted_average(w, t), ref_weighted_average(w, t))
+            assert_same_bits(problem_major(_weighted_average(w, logit_major(t), True)),
+                             ref_weighted_average(w, t))
     # numpy sums over n pairwise when n is the contiguous axis
     t = np.asfortranarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
     assert_same_bits(_weighted_average(w, t), ref_weighted_average(w, t))
@@ -174,13 +190,13 @@ def test_logistic_step_and_normal(shape):
     xc = filled((G, n, 2), 7)
     with np.errstate(all="ignore"):
         pr = _expit(eta)
-        dev, z, weights = step(data, eta, pr)
+        dev, z, weights = step(data, logit_major(eta), logit_major(pr))
         rdev, rz, rweights = ref_logistic_step(y, cfg.prob_floor, eta, pr)
         assert_same_bits(dev, rdev)
-        assert_same_bits(z, rz)
-        assert_same_bits(weights[0][..., 0], rweights[0])
+        assert_same_bits(problem_major(z), rz)
+        assert_same_bits(weights[0][0], rweights[0])
         r = filled((G, n, 1), 8)
-        for got, want in zip(normal(xc, weights, r),
+        for got, want in zip(normal(xc, weights, logit_major(r)),
                              ref_logistic_normal(xc, rweights, r)):
             assert_same_bits(got, want)
         assert_same_bits(_binary_deviance_mean(y[0], eta[0, :, 0]),
@@ -197,10 +213,10 @@ def test_ordinal_step(shape, variant):
     _, (Y, y_idx), step, _ = _ordinal(y, cfg)
     with np.errstate(all="ignore"):
         gam = _expit(eta)
-        got = step((Y, y_idx), eta, gam)
-        want = ref_ordinal_step(Y, y_idx, cfg.prob_floor, variant, eta, gam)
+        got = step((Y, y_idx), logit_major(eta), logit_major(gam))
+        want = ref_ordinal_step(problem_major(Y), y_idx, cfg.prob_floor, variant, eta, gam)
         assert_same_bits(got[0], want[0])
-        assert_same_bits(got[1], want[1])
+        assert_same_bits(problem_major(got[1]), want[1])
         for a, b in zip(got[2], want[2]):
             assert_same_bits(a, b)
         pimat = _ordinal_category_probs(gam[0])
