@@ -432,14 +432,9 @@ def exponential_map(pole: PreShape, v: NDArray[np.floating]) -> PreShape:
 # builds, such as every macaque build, stay serial (see the README).
 SLAB_PAIRS = 4096
 
-# Process-wide count of pairwise-matrix builds, keyed by an arbitrary label.
-# Used to assert that a dataset's distance matrix is computed exactly once.
+# Process-wide count of the pairwise-matrix builds `io.ingest` makes, keyed by
+# the dataset's content hash: a dataset's matrix is computed exactly once.
 MATRIX_BUILD_COUNTS: dict[str, int] = {}
-
-
-def _count_build(label: str | None):
-    if label is not None:
-        MATRIX_BUILD_COUNTS[label] = MATRIX_BUILD_COUNTS.get(label, 0) + 1
 
 
 def _distance_rows(a: NDArray, b: NDArray, after: bool = False) -> list[NDArray]:
@@ -503,17 +498,13 @@ class KendallShapeBackend:
         # the reshape gives an empty list its (0, k-1, m) shape too
         return np.array([s.z for s in points]).reshape(len(points), self.k - 1, self.m)
 
-    def pairwise_matrices(self, points: list[PreShape],
-                          count_label: str | None = None):
+    def pairwise_matrices(self, points: list[PreShape]):
         """Distance and log-density matrices over a point list.
 
         Both are symmetric with exactly zero diagonals. Row ``i`` is measured
         against the points after it (see :func:`_distance_rows`).
-        ``count_label`` increments the process-wide build counter for cache
-        instrumentation.
         """
         z = self._stack(points)
-        _count_build(count_label)
         dist = np.zeros((len(z), len(z)))
         for i, row in enumerate(_distance_rows(z[:-1], z, after=True)):
             dist[i, i + 1:] = dist[i + 1:, i] = row
@@ -575,9 +566,8 @@ class SphereBackend:
     def log_volume_density(self, a, b) -> float:
         return float(self.log_density_at(self.distance(a, b)))
 
-    def pairwise_matrices(self, points, count_label: str | None = None):
+    def pairwise_matrices(self, points):
         pts = np.asarray([self._check(p) for p in points])
-        _count_build(count_label)
         gram = np.clip(pts @ pts.T, -1.0, 1.0)
         dist = np.arccos(gram)
         np.fill_diagonal(dist, 0.0)

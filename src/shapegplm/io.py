@@ -1,9 +1,9 @@
 """Dataset ingestion, distance-cache persistence, and report emission.
 
-Landmark files are plain text: a header line ``k m`` followed by ``k`` rows
-of ``m`` whitespace-separated decimals. A manifest is a CSV with columns
-``id,file,response`` plus any number of named covariate columns and an
-optional ``subject`` column grouping rows that belong to one individual
+Landmark files are plain text: a header line ``k m`` followed by exactly
+``k`` rows of ``m`` whitespace-separated decimals. A manifest is a CSV with
+columns ``id,file,response`` plus any number of named covariate columns and
+an optional ``subject`` column grouping rows that belong to one individual
 (cross-validation folds leave out whole subjects). Lines starting with ``#``
 are directives or comments; ``# response_type: binary|ordinal3|continuous``
 overrides the inferred response kind.
@@ -11,8 +11,9 @@ overrides the inferred response kind.
 The pairwise distance and log-density matrices are cached on disk as a
 ``.npz`` file keyed by a content hash of the preshapes, so unchanged data is
 never re-measured, and invalidation follows content, never timestamps. The
-file is written through a temporary file and renamed into place; one that
-cannot be read back counts as a miss and is rebuilt.
+file is written through a temporary file and renamed into place; one that is
+missing or cannot be read back counts as a miss and is rebuilt. :func:`ingest`
+counts each build it makes (:data:`shapegplm.geometry.MATRIX_BUILD_COUNTS`).
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateConfigurationError, InputFileError
-from .geometry import KendallShapeBackend, ShapeSample, preshape
+from .geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend, ShapeSample, preshape
 from .models import GplmFit
 from .smoothing import SmootherCache
 
-__all__ = ["read_landmarks", "write_landmarks", "DatasetManifest",
-           "ManifestRecord", "DatasetBundle", "read_dataset", "ingest",
-           "provenance_hash", "RunConfig",
+__all__ = ["read_landmarks", "write_landmarks", "DatasetBundle", "read_dataset",
+           "ingest", "provenance_hash", "RunConfig",
            "write_fit_report", "write_model_state", "load_model_state",
            "write_cv_csv"]
 
@@ -67,7 +67,7 @@ def read_landmarks(path) -> NDArray[np.floating]:
         raise InputFileError(f"malformed landmark file {path}: {exc}") from exc
     if k < 2 or m < 1:   # a shape needs 2 landmarks of 1 coordinate or more
         raise InputFileError(f"malformed landmark file {path}: header {k} x {m} holds no shape")
-    rows = [ln.split() for ln in lines[1:k + 1]]
+    rows = [ln.split() for ln in lines[1:]]
     if len(rows) != k or any(len(r) != m for r in rows):
         raise InputFileError(
             f"landmark file {path} promises {k} x {m} but delivers otherwise")
@@ -85,23 +85,6 @@ def write_landmarks(path, coords) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    id: str
-    file: str
-    response: float
-    covariates: tuple[float, ...]
-    subject: str
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    records: tuple[ManifestRecord, ...]
-    covariate_names: tuple[str, ...]
-    response_type: str
-    base_dir: Path
-
-
 def _infer_response_type(values: NDArray) -> str:
     uniq = set(np.unique(values).tolist())
     if uniq <= {0.0, 1.0}:
@@ -111,7 +94,11 @@ def _infer_response_type(values: NDArray) -> str:
     return "continuous"
 
 
-def read_manifest(path) -> DatasetManifest:
+def read_manifest(path) -> tuple[dict, list[Path]]:
+    """The columns of a manifest, as the keyword arguments of a
+    :class:`DatasetBundle` (``ids``, ``subjects``, ``y``, ``x``,
+    ``covariate_names`` and ``response_type``), and each row's landmark file,
+    resolved against the manifest's directory."""
     path = Path(path)
     declared = None
     rows = []
@@ -135,8 +122,7 @@ def read_manifest(path) -> DatasetManifest:
             f"manifest {path} must have columns id,file,response; got {field_names}")
     cov_names = tuple(f for f in field_names
                       if f not in required and f != "subject")
-    records = []
-    ids_seen = set()
+    subjects, files, y, x = {}, [], [], []   # subjects by id, in row order
     for values in reader:
         row = dict(zip(field_names, (v.strip() for v in values)))
         rid = row.get("id", values[0].strip())
@@ -144,26 +130,25 @@ def read_manifest(path) -> DatasetManifest:
             raise InputFileError(
                 f"manifest {path} row {rid!r} has {len(values)} fields; its "
                 f"header has {len(field_names)}")
-        if rid in ids_seen:
+        if rid in subjects:
             raise InputFileError(f"duplicate record id {rid!r} in manifest {path}")
-        ids_seen.add(rid)
         try:
-            resp = float(row["response"])
-            covs = tuple(float(row[c]) for c in cov_names)
+            y.append(float(row["response"]))
+            x.append([float(row[c]) for c in cov_names])
         except (TypeError, ValueError) as exc:
             raise InputFileError(
                 f"non-numeric value in manifest {path} row {rid!r}: {exc}") from exc
-        records.append(ManifestRecord(
-            id=rid, file=row["file"], response=resp, covariates=covs,
-            subject=row.get("subject") or rid))
-    if not records:
+        subjects[rid] = row.get("subject") or rid
+        files.append(path.parent / row["file"])
+    if not subjects:
         raise InputFileError(f"manifest {path} has no records")
-    responses = np.array([r.response for r in records])
-    rtype = declared or _infer_response_type(responses)
+    y = np.array(y)
+    rtype = declared or _infer_response_type(y)
     if rtype not in ("binary", "ordinal3", "continuous"):
         raise InputFileError(f"unknown response type {rtype!r} in manifest {path}")
-    return DatasetManifest(records=tuple(records), covariate_names=cov_names,
-                           response_type=rtype, base_dir=path.parent)
+    return dict(ids=list(subjects), subjects=list(subjects.values()), y=y,
+                x=np.array(x, dtype=float), covariate_names=cov_names,
+                response_type=rtype), files
 
 
 @dataclass
@@ -246,32 +231,23 @@ def read_dataset(manifest_path) -> DatasetBundle:
     All configurations must share one ``(k, m)``; a mismatch is rejected
     naming the offending record.
     """
-    manifest = read_manifest(manifest_path)
-    paths = [manifest.base_dir / rec.file for rec in manifest.records]
+    columns, paths = read_manifest(manifest_path)
     configs = [read_landmarks(fpath) for fpath in paths]
     k, m = configs[0].shape
     samples = []
-    for rec, fpath, cfg in zip(manifest.records, paths, configs):
+    for rid, fpath, cfg in zip(columns["ids"], paths, configs):
         if cfg.shape != (k, m):
             raise InputFileError(
-                f"record {rec.id!r} of manifest {manifest_path} has landmark "
+                f"record {rid!r} of manifest {manifest_path} has landmark "
                 f"dimensions {cfg.shape}, expected {(k, m)}")
         try:
             samples.append(preshape(cfg))
         except DegenerateConfigurationError as exc:
             raise InputFileError(f"landmark file {fpath}: {exc}") from exc
-    ids = [r.id for r in manifest.records]
     backend = KendallShapeBackend(k=k, m=m)
-    x = np.array([r.covariates for r in manifest.records], dtype=float)
-    if x.size == 0:
-        x = np.zeros((len(ids), 0))
-    return DatasetBundle(
-        ids=ids, subjects=[r.subject for r in manifest.records],
-        y=np.array([r.response for r in manifest.records]),
-        x=x, covariate_names=manifest.covariate_names,
-        response_type=manifest.response_type, samples=samples,
-        backend=backend, cache=None,
-        content_hash=_content_hash(samples, ids, backend.description))
+    return DatasetBundle(**columns, samples=samples, backend=backend, cache=None,
+                         content_hash=_content_hash(samples, columns["ids"],
+                                                    backend.description))
 
 
 def ingest(manifest_path, use_disk_cache: bool = True,
@@ -280,28 +256,28 @@ def ingest(manifest_path, use_disk_cache: bool = True,
 
     The manifest and landmarks are read by :func:`read_dataset`. The pairwise
     matrices are loaded from the content-keyed disk cache when present,
-    otherwise computed once and saved.
+    otherwise computed once, counted in
+    :data:`shapegplm.geometry.MATRIX_BUILD_COUNTS` under the content hash,
+    and saved.
     """
     bundle = read_dataset(manifest_path)
     content = bundle.content_hash
     cache = None
-    cache_file = None
     if use_disk_cache:
         cdir = Path(cache_dir) if cache_dir else Path(manifest_path).parent / ".shapegplm-cache"
         cache_file = cdir / f"distances-{content[:16]}.npz"
-        if cache_file.exists():
-            try:
-                with np.load(cache_file) as stored:
-                    if ("content_hash" in stored
-                            and str(stored["content_hash"]) == content):
-                        cache = SmootherCache(dist=stored["dist"],
-                                              logdens=stored["logdens"])
-            except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-                cache = None  # truncated or corrupt: rebuild and overwrite
+        try:
+            with np.load(cache_file) as stored:
+                if ("content_hash" in stored
+                        and str(stored["content_hash"]) == content):
+                    cache = SmootherCache(dist=stored["dist"],
+                                          logdens=stored["logdens"])
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            cache = None  # missing, truncated or corrupt: rebuild and overwrite
     if cache is None:
-        cache = SmootherCache.from_points(bundle.shapes, bundle.backend,
-                                          count_label=content)
-        if use_disk_cache and cache_file is not None:
+        MATRIX_BUILD_COUNTS[content] = MATRIX_BUILD_COUNTS.get(content, 0) + 1
+        cache = SmootherCache.from_points(bundle.shapes, bundle.backend)
+        if use_disk_cache:
             _write_atomically(cache_file, dist=cache.dist, logdens=cache.logdens,
                               content_hash=np.asarray(content))
     bundle.cache = cache
@@ -375,8 +351,9 @@ def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
 def load_model_state(path) -> tuple[GplmFit, dict]:
     """The fit stored by :func:`write_model_state`, and the whole record.
 
-    A file that is not a JSON object, lacks an entry or holds a value of the
-    wrong kind raises :class:`InputFileError` naming the file.
+    A file that is not a JSON object, lacks an entry, holds a value of the
+    wrong kind, a non-finite array entry or a bandwidth that is not finite and
+    positive raises :class:`InputFileError` naming the file.
     """
     try:
         state = json.loads(_read_text(Path(path), "fit state"))
@@ -395,6 +372,12 @@ def load_model_state(path) -> tuple[GplmFit, dict]:
                       iterations=int(values["iterations"]))
     except (TypeError, ValueError) as exc:
         raise InputFileError(f"fit state {path} holds a malformed value: {exc}") from exc
+    for name in _FIT_ARRAYS:
+        if not np.isfinite(values[name]).all():
+            raise InputFileError(f"fit state {path} holds a non-finite {name}")
+    if not 0.0 < values["bandwidth"] < np.inf:
+        raise InputFileError(f"fit state {path} holds bandwidth {values['bandwidth']!r}, "
+                             "not a finite positive number")
     return GplmFit(**values), state
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -213,12 +213,18 @@ def loocv(bundle, model: str, spec: KernelSpec | list[KernelSpec],
     for s in specs.values():
         s.check_against(backend)
 
+    # Stacks come bandwidth by bandwidth, so each process that fits them, a
+    # worker or the serial command, computes one bandwidth's matrix once.
+    @lru_cache(maxsize=1)
+    def log_weights(h):
+        return _log_weights(full_cache.dist, full_cache.logdens, specs[h])
+
     def weights(spec, trains):
         if use_cache:
             # The log weights are elementwise in the cached matrices, so a
             # fold's block of this one matrix, row-normalised, is exactly the
             # fold's own smoother weight matrix.
-            log_w = _log_weights(full_cache.dist, full_cache.logdens, spec)
+            log_w = log_weights(spec.bandwidth)
             return _normalised(log_w[trains[:, :, None], trains[:, None, :]],
                                query="<all sample points>")
         return np.stack([normalised_weight_matrix(

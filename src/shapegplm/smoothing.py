@@ -65,9 +65,8 @@ class SmootherCache:
                 raise InvalidArgumentError(f"{name} matrix has a nonzero diagonal")
 
     @classmethod
-    def from_points(cls, points, backend, count_label: str | None = None
-                    ) -> "SmootherCache":
-        dist, logdens = backend.pairwise_matrices(points, count_label=count_label)
+    def from_points(cls, points, backend) -> "SmootherCache":
+        dist, logdens = backend.pairwise_matrices(points)
         return cls(dist=dist, logdens=logdens)
 
     @property

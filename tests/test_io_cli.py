@@ -430,8 +430,44 @@ class TestCli:
             f"shapegplm cv: manifest {manifest} row 'm1' has {fields} fields; "
             "its header has 4\n")
 
+    @pytest.mark.parametrize("case", ["no id,file,response header", "non-numeric response",
+                                      "non-numeric covariate", "unknown response type",
+                                      "only comments", "coincident landmarks"])
+    def test_malformed_dataset_names_the_file(self, rng, tmp_path, capsys, case):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+        lines = manifest.read_text().splitlines()   # directive, header, t0 ... t5
+        rid, file, response, cov = lines[3].split(",")
+        if case == "no id,file,response header":
+            lines[1] = "id,path,response,cov"
+            message = (f"manifest {manifest} must have columns id,file,response; "
+                       "got ['id', 'path', 'response', 'cov']")
+        elif case == "non-numeric response":
+            lines[3] = ",".join([rid, file, "yes", cov])
+            message = (f"non-numeric value in manifest {manifest} row 't1': "
+                       "could not convert string to float: 'yes'")
+        elif case == "non-numeric covariate":
+            lines[3] = ",".join([rid, file, response, "heavy"])
+            message = (f"non-numeric value in manifest {manifest} row 't1': "
+                       "could not convert string to float: 'heavy'")
+        elif case == "unknown response type":
+            lines[0] = "# response_type: nominal"
+            message = f"unknown response type 'nominal' in manifest {manifest}"
+        elif case == "only comments":
+            lines = [lines[0], "# id,file,response,cov"]
+            message = f"manifest {manifest} has no records"
+        else:
+            bad = manifest.parent / "t3.txt"
+            write_landmarks(bad, np.full((5, 3), 2.5))
+            message = f"landmark file {bad}: all landmarks coincide; configuration has no shape"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["distances", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o"), "--no-cache"])
+        assert code == 1
+        assert capsys.readouterr().err == f"shapegplm distances: {message}\n"
+
     @pytest.mark.parametrize("damage", ["no model entry", "not JSON", "not an object",
-                                        "non-numeric slope"])
+                                        "non-numeric slope", "NaN slope", "zero bandwidth",
+                                        "NaN working target"])
     def test_malformed_fit_state_exits_1(self, rng, tmp_path, capsys, damage):
         manifest = write_tiny_dataset(rng, tmp_path / "ds")
         out = tmp_path / "fit"
@@ -447,7 +483,14 @@ class TestCli:
         elif damage == "not an object":
             state_path.write_text(json.dumps([state]))
         else:
-            state["beta"] = ["steep"]
+            if damage == "non-numeric slope":
+                state["beta"] = ["steep"]
+            elif damage == "NaN slope":
+                state["beta"] = [float("nan")]
+            elif damage == "zero bandwidth":
+                state["bandwidth"] = 0
+            else:
+                state["z_final"][2][0] = float("nan")
             state_path.write_text(json.dumps(state))
         capsys.readouterr()
         code = main(["predict", "--fit", str(state_path), "--input", str(manifest),
@@ -579,3 +622,10 @@ class TestModelState:
         path.write_text('{"model": "logistic", "beta": [1.0], "bandwidth": 0.1}')
         with pytest.raises(InvalidArgumentError, match="phi0"):
             load_model_state(path)
+
+
+@pytest.mark.parametrize("module", ["baselines", "geometry", "io", "models",
+                                    "selection", "smoothing"])
+def test_every_public_name_exists(module):
+    mod = __import__(f"shapegplm.{module}", fromlist=["__all__"])
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

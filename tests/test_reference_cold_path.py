@@ -228,7 +228,8 @@ def test_landmark_parse_matches_float(tokens, tmp_path):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("body", ["1 2 3\n4 x 6\n", "1 2 3\n4 5\n", "1 2 3\n4 5 6 7\n"])
+@pytest.mark.parametrize("body", ["1 2 3\n4 x 6\n", "1 2 3\n4 5\n", "1 2 3\n4 5 6 7\n",
+                                  "1 2 3\n4 5 6\n7 8 9\n"])
 def test_malformed_landmark_rows_exit_1(body, tmp_path, capsys):
     manifest = write_k20_dataset(tmp_path / "ds", 6, seed=9, ordinal=False)
     bad = manifest.parent / "r4.txt"

@@ -250,6 +250,30 @@ class TestStackCap:
         assert calls == [21]
         assert len(report.fit_status[spec.bandwidth]) > 1   # folds stopped apart
 
+    def test_one_log_weight_matrix_per_bandwidth(self, macaque_bundle, monkeypatch):
+        specs = [KernelSpec(bandwidth=h) for h in (np.pi / 50, np.pi / 25)]
+        monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # the spies record here
+        whole = loocv(macaque_bundle, "logistic", specs)
+        log_weights, fit_stack = selection._log_weights, selection.fit_stack
+        calls, stacks = [], []
+
+        def log_spy(dist, logdens, spec):
+            calls.append((np.shape(dist), spec.bandwidth))
+            return log_weights(dist, logdens, spec)
+
+        def stack_spy(model, y, x, w_smooth, spec, *args):
+            stacks.append(spec.bandwidth)
+            return fit_stack(model, y, x, w_smooth, spec, *args)
+
+        monkeypatch.setattr(selection, "_log_weights", log_spy)
+        monkeypatch.setattr(selection, "fit_stack", stack_spy)
+        # 18 folds of 17 training rows: four stacks a bandwidth
+        monkeypatch.setattr(selection, "STACK_WEIGHTS", 5 * 17 ** 2)
+        split = loocv(macaque_bundle, "logistic", specs)
+        assert stacks == [specs[0].bandwidth] * 4 + [specs[1].bandwidth] * 4
+        assert calls == [((18, 18), s.bandwidth) for s in specs]
+        assert_same_report(split, whole)
+
     def test_peak_memory_is_bounded_by_the_cap(self, monkeypatch):
         # Calibrated with a 2^16 cap, where the peak was 1.8 times the cap's
         # bytes at both bandwidths (1.6 times with 2^17). In the last case
