@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateConfigurationError, InputFileError
+from .errors import InputFileError, InvalidArgumentError
 from .geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend, ShapeSample, preshape
 from .models import GplmFit
 from .smoothing import SmootherCache
@@ -98,7 +98,8 @@ def read_manifest(path) -> tuple[dict, list[Path]]:
     """The columns of a manifest, as the keyword arguments of a
     :class:`DatasetBundle` (``ids``, ``subjects``, ``y``, ``x``,
     ``covariate_names`` and ``response_type``), and each row's landmark file,
-    resolved against the manifest's directory."""
+    resolved against the manifest's directory. A column named twice is
+    rejected."""
     path = Path(path)
     declared = None
     rows = []
@@ -120,6 +121,9 @@ def read_manifest(path) -> tuple[dict, list[Path]]:
     if not required <= set(field_names):
         raise InputFileError(
             f"manifest {path} must have columns id,file,response; got {field_names}")
+    repeated = [f for f in field_names if field_names.count(f) > 1]
+    if repeated:
+        raise InputFileError(f"manifest {path} repeats column {repeated[0]!r}")
     cov_names = tuple(f for f in field_names
                       if f not in required and f != "subject")
     subjects, files, y, x = {}, [], [], []   # subjects by id, in row order
@@ -229,7 +233,8 @@ def read_dataset(manifest_path) -> DatasetBundle:
     without pairwise matrices (``cache`` is ``None``).
 
     All configurations must share one ``(k, m)``; a mismatch is rejected
-    naming the offending record.
+    naming the offending record, and a configuration whose landmarks coincide
+    or hold a non-finite coordinate naming its file.
     """
     columns, paths = read_manifest(manifest_path)
     configs = [read_landmarks(fpath) for fpath in paths]
@@ -242,7 +247,7 @@ def read_dataset(manifest_path) -> DatasetBundle:
                 f"dimensions {cfg.shape}, expected {(k, m)}")
         try:
             samples.append(preshape(cfg))
-        except DegenerateConfigurationError as exc:
+        except InvalidArgumentError as exc:   # coincident or non-finite landmarks
             raise InputFileError(f"landmark file {fpath}: {exc}") from exc
     backend = KendallShapeBackend(k=k, m=m)
     return DatasetBundle(**columns, samples=samples, backend=backend, cache=None,

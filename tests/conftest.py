@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,12 @@ from shapegplm import PreShape, ingest, preshape
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MACAQUE_MANIFEST = REPO_ROOT / "data" / "macaque" / "manifest.csv"
+
+
+def assert_no_child_left():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_configuration(rng, k=7, m=3, scale=1.0):

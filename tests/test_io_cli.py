@@ -432,7 +432,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["no id,file,response header", "non-numeric response",
                                       "non-numeric covariate", "unknown response type",
-                                      "only comments", "coincident landmarks"])
+                                      "only comments", "coincident landmarks",
+                                      "non-finite landmark", "repeated column"])
     def test_malformed_dataset_names_the_file(self, rng, tmp_path, capsys, case):
         manifest = write_tiny_dataset(rng, tmp_path / "ds")
         lines = manifest.read_text().splitlines()   # directive, header, t0 ... t5
@@ -455,10 +456,20 @@ class TestCli:
         elif case == "only comments":
             lines = [lines[0], "# id,file,response,cov"]
             message = f"manifest {manifest} has no records"
-        else:
+        elif case == "coincident landmarks":
             bad = manifest.parent / "t3.txt"
             write_landmarks(bad, np.full((5, 3), 2.5))
             message = f"landmark file {bad}: all landmarks coincide; configuration has no shape"
+        elif case == "non-finite landmark":
+            bad = manifest.parent / "t2.txt"
+            text = bad.read_text().splitlines()
+            text[2] = "nan " + text[2].split(None, 1)[1]
+            bad.write_text("\n".join(text) + "\n")
+            message = f"landmark file {bad}: configuration contains non-finite entries"
+        else:
+            lines[1] += ",cov"
+            lines[2:] = [f"{line},7" for line in lines[2:]]
+            message = f"manifest {manifest} repeats column 'cov'"
         manifest.write_text("\n".join(lines) + "\n")
         code = main(["distances", "--manifest", str(manifest),
                      "--out", str(tmp_path / "o"), "--no-cache"])

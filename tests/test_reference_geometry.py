@@ -7,7 +7,6 @@ not to a tolerance, also when the distance rows run on forked worker
 processes. A memory check keeps the pairwise build row by row.
 """
 
-import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -30,7 +29,7 @@ from shapegplm.errors import (
 )
 from shapegplm.geometry import _CHORD_SWITCH, _check_same_shape
 
-from conftest import random_rotation
+from conftest import assert_no_child_left, random_rotation
 
 
 def ref_align_and_sum(z1, z2):
@@ -303,4 +302,4 @@ def test_forked_builds_match_reference(workers, monkeypatch, synth):
                                 for q in queries]).reshape(len(queries), n)
                 assert np.array_equal(backend.cross_distances(queries, points[:n]), ref)
     assert max(forks) == int(workers)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()

@@ -1,6 +1,5 @@
-import concurrent.futures
 import copy
-import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,7 +21,7 @@ from shapegplm.cli import main
 from shapegplm.io import DatasetBundle, ingest
 from shapegplm.selection import CvReport
 
-from conftest import REPO_ROOT, sphere_points
+from conftest import REPO_ROOT, assert_no_child_left, sphere_points
 from test_acceptance import synthetic_sphere_ordinal
 from test_reference_fitters import assert_same_fit
 from test_stacked_folds import assert_same_report, unequal_subjects_bundle
@@ -177,7 +176,7 @@ class TestThreadedFolds:
         serial = loocv(macaque_bundle, "logistic", spec)
         monkeypatch.setenv("SHAPEGPLM_THREADS", threads)
         # the macaque folds are one stack: no worker process is started
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
         again = loocv(macaque_bundle, "logistic", spec)
         assert [(p.row_id, p.predicted, p.probs) for p in again.predictions] == \
             [(p.row_id, p.predicted, p.probs) for p in serial.predictions]
@@ -364,7 +363,7 @@ class TestBandwidthSweep:
         calls = record_runs(monkeypatch)
         swept = bandwidth_sweep(bundle, "ordinal", grid[::-1], cfg)
         assert calls == [(tasks, int(threads))]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert_same_report(swept, CvReport(
             model="ordinal", bandwidths=grid,
             accuracy={h: r.accuracy[h] for h, r in zip(grid, alone)},
@@ -399,7 +398,7 @@ class TestGridPool:
                      "--grid", "pi/80,pi/40", "--max-iter", "5",
                      "--out", str(tmp_path)]) == 0
         assert calls == [(2, 2)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_error_in_the_grid_pool_reads_as_the_serial_error(
             self, compare_manifest, tmp_path, monkeypatch, capsys):
@@ -413,7 +412,7 @@ class TestGridPool:
         for setting in ("1", "2"):
             monkeypatch.setenv("SHAPEGPLM_THREADS", setting)
             seen[setting] = main(argv), capsys.readouterr()
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
         assert calls == [(2, 1), (2, 2)]
         assert seen["2"] == seen["1"]
         code, out = seen["2"]

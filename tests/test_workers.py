@@ -1,11 +1,13 @@
 """Fold stacks and distance rows on forked worker processes: the worker count
-rule, errors that cross the process boundary, and CLI outputs that are the
-same bytes serially and with two workers. No test starts more than two
+rule, the fork-and-pipe driver, errors that cross the process boundary, and
+CLI outputs that are the same bytes serially and with two workers. No test starts more than two
 worker processes at once."""
 
-import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from shapegplm import _workers, errors, geometry
 from shapegplm.cli import main
 
-from conftest import MACAQUE_MANIFEST, REPO_ROOT
+from conftest import MACAQUE_MANIFEST, REPO_ROOT, assert_no_child_left
 
 AFFINITY = len(os.sched_getaffinity(0))
 
@@ -44,7 +46,7 @@ def test_serial_inside_a_worker_and_beside_other_threads(monkeypatch):
     monkeypatch.setenv("SHAPEGPLM_THREADS", "2")
     assert _workers.count(8) == 2
     assert _workers.run([lambda: _workers.count(8)] * 2, 2) == [1, 1]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -53,6 +55,63 @@ def test_serial_inside_a_worker_and_beside_other_threads(monkeypatch):
     finally:
         stop.set()
         other.join()
+
+
+# --- the driver -------------------------------------------------------------------
+
+@pytest.mark.parametrize("tasks", [1, 2, 3, 5])
+def test_results_come_back_in_task_order(tasks):
+    done = _workers.run([lambda i=i: (i, os.getpid()) for i in range(tasks)], 2)
+    assert_no_child_left()
+    assert [i for i, _ in done] == list(range(tasks))
+    pids = [pid for _, pid in done]
+    if tasks == 1:
+        assert pids == [os.getpid()]
+    else:
+        # task i on worker i mod 2, and none in this process
+        assert pids == [pids[i % 2] for i in range(tasks)]
+        assert len({*pids, os.getpid()}) == 3
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), "3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")],
+    ids=["exit 3", "SIGKILL"])
+def test_a_worker_that_dies_raises_its_exit_status(end, status):
+    with pytest.raises(RuntimeError, match=f"exited with status {status} without a result"):
+        _workers.run([lambda: 0, end, lambda: 2], 2)
+    assert_no_child_left()
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_intact():
+    big = np.random.default_rng(5).normal(size=2 ** 17)   # 1 MB
+    done = _workers.run([lambda: big, lambda: big[::-1].copy(), lambda: big + 1.0], 2)
+    assert_no_child_left()
+    assert all(np.array_equal(a, b) for a, b in zip(done, [big, big[::-1], big + 1.0]))
+
+
+def fail_at(index):
+    raise errors.DivergenceError(f"task {index} failed")
+
+
+@pytest.mark.parametrize("failing, first", [({1, 2, 3}, 1), ({0, 3}, 0), ({3, 4}, 3)])
+def test_the_lowest_failing_task_is_raised(failing, first):
+    # task i on worker i mod 2: each case has failures on both workers
+    tasks = [lambda i=i: fail_at(i) if i in failing else i for i in range(5)]
+    with pytest.raises(errors.DivergenceError) as serial:
+        [task() for task in tasks]
+    with pytest.raises(errors.DivergenceError) as forked:
+        _workers.run(tasks, 2)
+    assert_no_child_left()
+    assert str(forked.value) == str(serial.value) == f"task {first} failed"
+
+
+def test_no_multiprocessing_on_import():
+    # what the CLI imports: the driver forks without multiprocessing's modules
+    code = ("import sys, shapegplm.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # --- errors across the process boundary --------------------------------------------
@@ -140,7 +199,7 @@ def test_two_workers_write_the_serial_bytes(mixed_manifest, tmp_path, monkeypatc
         for command, argv in session(mixed_manifest, out).items():
             calls.clear()
             assert main(argv) == 0, capsys.readouterr().err
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             workers[setting, command] = {w for _, w in calls}
             assert all(w <= tasks for tasks, w in calls)
         # reports name their output directory
@@ -165,7 +224,7 @@ def test_error_in_a_worker_reads_as_the_serial_error(mixed_manifest, tmp_path,
         monkeypatch.setenv("SHAPEGPLM_THREADS", setting)
         code = main(argv)
         seen[setting] = code, capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert max(w for _, w in calls) == 2
     assert seen["2"] == seen["1"] == (2, "shapegplm cv: numerical failure: kernel "
                                          "weights underflowed at query '<one of 1 "
@@ -185,4 +244,4 @@ def test_macaque_and_small_builds_stay_serial(mixed_manifest, tmp_path, monkeypa
                  ["distances", "--manifest", str(mixed_manifest), "--no-cache"]):
         assert main([*argv, "--out", str(tmp_path)]) == 0
     assert calls and {w for _, w in calls} == {1}
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
