@@ -442,28 +442,18 @@ def _distance_rows(a: NDArray, b: NDArray, after: bool = False) -> list[NDArray]
     one row per kernel call: row ``i`` against ``b[i + 1:]`` when ``after``
     (``a`` is then ``b`` less its last point), else against all of ``b``.
 
-    The rows are dealt out to forked worker processes when each worker gets
-    at least :data:`SLAB_PAIRS` pairs, there and back (workers 0, 1, ...,
-    w-1, then w-1, ..., 0, and so on): rows ``i`` and ``len(a)-1-i`` of a
-    pairwise build hold ``len(b)`` pairs together, so every worker gets the
-    same number of rows and of pairs. The rows come back in order.
+    Each row is one task of :func:`_workers.run`, so row ``i`` runs on worker
+    ``i mod w`` and comes back in place. The rows go to forked worker
+    processes when each worker gets at least :data:`SLAB_PAIRS` pairs.
     """
     n = len(a)
-    workers = _workers.count(min(n, (n * len(b) - after * n * (n + 1) // 2) // SLAB_PAIRS))
-    turn = np.arange(n) % (2 * workers)
-    owner = np.minimum(turn, 2 * workers - 1 - turn)
-    shares = [np.flatnonzero(owner == w) for w in range(workers)]
 
-    def rows(share):
-        return [_distances(np.broadcast_to(a[i], b[(i + 1) * after:].shape),
-                           b[(i + 1) * after:]) for i in share]
+    def row(i):
+        rest = b[(i + 1) * after:]
+        return _distances(np.broadcast_to(a[i], rest.shape), rest)
 
-    done = _workers.run([partial(rows, share) for share in shares], workers)
-    out = [None] * n   # put back in place: an np.argsort here cost 0.2 MB of peak RSS
-    for share, part in zip(shares, done):
-        for i, row in zip(share, part):
-            out[i] = row
-    return out
+    workers = _workers.count((n * len(b) - after * n * (n + 1) // 2) // SLAB_PAIRS)
+    return _workers.run([partial(row, i) for i in range(n)], workers)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Dataset ingestion, distance-cache persistence, and report emission.
 
-Landmark files are plain text: a header line ``k m`` followed by exactly
-``k`` rows of ``m`` whitespace-separated decimals. A manifest is a CSV with
-columns ``id,file,response`` plus any number of named covariate columns and
-an optional ``subject`` column grouping rows that belong to one individual
+Inputs are UTF-8 text, with or without a byte-order mark. A landmark file
+holds a header line ``k m`` followed by exactly ``k`` rows of ``m``
+whitespace-separated decimals. A manifest is a CSV with columns
+``id,file,response`` plus any number of named covariate columns and an
+optional ``subject`` column grouping rows that belong to one individual
 (cross-validation folds leave out whole subjects). Lines starting with ``#``
 are directives or comments; ``# response_type: binary|ordinal3|continuous``
 overrides the inferred response kind.
@@ -42,10 +43,11 @@ __all__ = ["read_landmarks", "write_landmarks", "DatasetBundle", "read_dataset",
 
 
 def _read_text(path: Path, what: str) -> str:
-    """The text of an input file; an unreadable one raises ``OSError`` and one
-    that is not text raises :class:`InputFileError`, both naming the file."""
+    """The text of an input file, decoded as UTF-8 with or without a
+    byte-order mark; an unreadable one raises ``OSError`` and one that is not
+    text raises :class:`InputFileError`, both naming the file."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -341,14 +343,15 @@ _STATE_FIELDS = tuple(f.name for f in fields(GplmFit)) + (
 def write_model_state(path, fit, bundle, run_config: RunConfig) -> None:
     """Machine-readable companion of the fit report: every field of the fit,
     which :func:`load_model_state` turns back into the same fit, plus the
-    dataset and provenance hashes and the manifest that ``predict`` reads and
-    checks against. Written like the distance cache, through a temporary
-    file, so a crashed or concurrent ``fit`` leaves a whole state behind."""
+    dataset and provenance hashes and the manifest, as an absolute path, that
+    ``predict`` reads and checks against. Written like the distance cache,
+    through a temporary file, so a crashed or concurrent ``fit`` leaves a
+    whole state behind."""
     state = {f.name: getattr(fit, f.name) for f in fields(fit)}
     state.update({name: state[name].tolist() for name in _FIT_ARRAYS})
     state.update(dataset_hash=bundle.content_hash,
                  provenance_hash=provenance_hash(bundle),
-                 manifest=str(run_config.manifest),
+                 manifest=str(Path(run_config.manifest).absolute()),
                  irls_variant=run_config.irls_variant)
     _write_atomically(Path(path), (json.dumps(state, indent=2) + "\n").encode())
 
@@ -370,6 +373,10 @@ def load_model_state(path) -> tuple[GplmFit, dict]:
     if missing:
         raise InputFileError(f"fit state {path} has no {missing[0]!r} entry; "
                              "write it again with `fit`")
+    for name in ("manifest", "provenance_hash"):
+        if not isinstance(state[name], str):
+            raise InputFileError(f"fit state {path} holds a malformed value: "
+                                 f"{name} {state[name]!r} is not a string")
     values = {f.name: state[f.name] for f in fields(GplmFit)}
     try:
         values.update({name: np.asarray(values[name], dtype=float) for name in _FIT_ARRAYS})

@@ -208,6 +208,47 @@ class TestCli:
             rid, pred, prob = ln.split(",")
             assert pred == ("1" if rid.startswith("f") else "0")
 
+    @pytest.mark.parametrize("layout", ["relative path", "symlinked manifest"])
+    def test_predict_finds_the_training_data_from_another_directory(self, tmp_path,
+                                                                    monkeypatch, layout):
+        shutil.copytree(MACAQUE_MANIFEST.parent, tmp_path / "data")
+        if layout == "symlinked manifest":
+            # the landmark files sit beside the link, not beside its target
+            target = tmp_path / "sheets" / "manifest.csv"
+            target.parent.mkdir()
+            (tmp_path / "data" / "manifest.csv").rename(target)
+            (tmp_path / "data" / "manifest.csv").symlink_to(target)
+        monkeypatch.chdir(tmp_path)
+        manifest = "data/manifest.csv"
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", manifest, "--model", "logistic",
+                     "--h", "pi/25", "--out", str(out), "--no-cache"]) == 0
+        # the report echoes the manifest as given; the state holds it absolute
+        assert f"manifest = {manifest}\n" in (out / "fit_report.txt").read_text()
+        predict = ["predict", "--fit", str(out / "fit_state.json"),
+                   "--input", str(MACAQUE_MANIFEST), "--no-cache"]
+        assert main([*predict, "--out", str(tmp_path / "here")]) == 0
+        monkeypatch.chdir(out)
+        assert main([*predict, "--out", str(tmp_path / "there")]) == 0
+        assert ((tmp_path / "there" / "predictions.csv").read_bytes()
+                == (tmp_path / "here" / "predictions.csv").read_bytes())
+
+    @pytest.mark.parametrize("export", ["byte-order mark", "CRLF line ends"])
+    def test_spreadsheet_export_reads_as_the_plain_copy(self, tmp_path, export):
+        written = {}
+        for copy in ("plain", export):
+            root = tmp_path / copy
+            shutil.copytree(MACAQUE_MANIFEST.parent, root)
+            for path in (root / "manifest.csv", root / "f2.txt"):
+                if copy == "byte-order mark":
+                    path.write_text(path.read_text(), encoding="utf-8-sig")
+                elif copy == "CRLF line ends":
+                    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            assert main(["distances", "--manifest", str(root / "manifest.csv"),
+                         "--out", str(root / "out"), "--no-cache"]) == 0
+            written[copy] = (root / "out" / "distances.csv").read_bytes()
+        assert written[export] == written["plain"]
+
     def test_predict_measures_no_query_pairs(self, rng, tmp_path, monkeypatch):
         train = write_tiny_dataset(rng, tmp_path / "train", n=8)
         query = write_tiny_dataset(rng, tmp_path / "query", n=5)
@@ -478,7 +519,8 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["no model entry", "not JSON", "not an object",
                                         "non-numeric slope", "NaN slope", "zero bandwidth",
-                                        "NaN working target"])
+                                        "NaN working target", "null manifest",
+                                        "numeric manifest"])
     def test_malformed_fit_state_exits_1(self, rng, tmp_path, capsys, damage):
         manifest = write_tiny_dataset(rng, tmp_path / "ds")
         out = tmp_path / "fit"
@@ -500,6 +542,10 @@ class TestCli:
                 state["beta"] = [float("nan")]
             elif damage == "zero bandwidth":
                 state["bandwidth"] = 0
+            elif damage == "null manifest":
+                state["manifest"] = None
+            elif damage == "numeric manifest":
+                state["manifest"] = 123
             else:
                 state["z_final"][2][0] = float("nan")
             state_path.write_text(json.dumps(state))

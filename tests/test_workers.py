@@ -245,3 +245,26 @@ def test_macaque_and_small_builds_stay_serial(mixed_manifest, tmp_path, monkeypa
         assert main([*argv, "--out", str(tmp_path)]) == 0
     assert calls and {w for _, w in calls} == {1}
     assert_no_child_left()
+
+
+# --- distance rows -----------------------------------------------------------------
+
+def test_each_distance_row_is_one_task(monkeypatch):
+    """A build hands :func:`_workers.run` one task per row, which decides alone
+    where each row runs, and its rows at two workers are the serial bits."""
+    rng = np.random.default_rng(5)
+    points = [geometry.preshape(rng.normal(size=(7, 3))).preshape for _ in range(12)]
+    queries = [geometry.preshape(rng.normal(size=(7, 3))).preshape for _ in range(5)]
+    backend = geometry.KendallShapeBackend(k=7)
+    monkeypatch.setattr(geometry, "SLAB_PAIRS", 1)
+    calls = record_runs(monkeypatch)
+    built = {}
+    for setting in ("1", "2"):
+        monkeypatch.setenv("SHAPEGPLM_THREADS", setting)
+        calls.clear()
+        built[setting] = (*backend.pairwise_matrices(points),
+                          backend.cross_distances(queries, points))
+        assert calls == [(11, int(setting)), (5, int(setting))]
+    assert all(np.array_equal(forked, serial)
+               for forked, serial in zip(built["2"], built["1"]))
+    assert_no_child_left()
