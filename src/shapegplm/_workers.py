@@ -66,6 +66,10 @@ def run(tasks: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
+                    # a worker holding a pipe's read end could block on its
+                    # own pipe forever once this process is gone
+                    for pipe in pipes:
+                        pipe.close()
                     _work(tasks, w, workers, write)   # never returns
             finally:
                 os.close(write)

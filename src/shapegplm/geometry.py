@@ -5,6 +5,11 @@ submatrix) and scale (centroid size) maps them to preshapes, points on the
 unit sphere in R^{m(k-1)}. Shapes are preshapes modulo rotation; all distances
 here are geodesic distances in that quotient, with range [0, pi/2].
 
+Optimal rotations come from the SVD of each pair's ``zb^T za``
+(:func:`_align`). Distances of 3-D shapes come from Horn's quaternion
+eigenvalue instead where the pair is far apart (:func:`_qcp_distances`),
+and from the SVD otherwise; the two agree to within 1e-12.
+
 A small unit-hypersphere backend is provided alongside the Kendall backend so
 the smoothing and model layers can be exercised on a manifold with elementary
 closed forms.
@@ -171,21 +176,26 @@ def preshape(x) -> ShapeSample:
 _CHORD_SWITCH = 0.999  # cos(rho) above which the chord evaluation takes over
 
 
+def _det3(entries) -> NDArray:
+    """Determinants of a stack of 3 x 3 matrices, given as its nine entries
+    in row-major order, each an array over the stack, by cofactor expansion
+    along the first row: a few elementwise operations per matrix."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = entries
+    return (a00 * (a11 * a22 - a12 * a21) + a01 * (a12 * a20 - a10 * a22)
+            + a02 * (a10 * a21 - a11 * a20))
+
+
 def _reflected(u: NDArray, vt: NDArray) -> NDArray:
     """Whether ``det(u) det(vt) < 0`` for each pair of two SVD factor stacks.
 
-    For m = 3 both determinants come from one closed-form cofactor
-    expansion, a few elementwise operations in place of two LU
+    For m = 3 both determinants come from :func:`_det3`, in place of two LU
     factorisations per pair. The sign is the one LU gives: ``u`` and ``vt``
     are orthogonal to rounding, so each determinant is +-1 to within a few
     ulps, and no evaluation of it can fall on the other side of 0.
     """
     if u.shape[-1] != 3:
         return np.linalg.det(u) * np.linalg.det(vt) < 0
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
-        np.concatenate((u, vt)).reshape(-1, 9).T)
-    det = (a00 * (a11 * a22 - a12 * a21) + a01 * (a12 * a20 - a10 * a22)
-           + a02 * (a10 * a21 - a11 * a20))
+    det = _det3(np.concatenate((u, vt)).reshape(-1, 9).T)
     return det[:len(u)] * det[len(u):] < 0
 
 
@@ -235,10 +245,78 @@ def _row_norms(v: NDArray) -> NDArray[np.floating]:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+_QCP_STEPS = 50        # Newton steps before a pair is left to the SVD
+# Least P'(s) sin(rho) / s^4 at which the root is trusted: rounding moves rho
+# by up to about 10 eps over this ratio, so by at most about 5e-14.
+_QCP_CONDITION = 0.05
+
+
+def _qcp_distances(c: NDArray) -> NDArray:
+    """Shape distances of far pairs from their ``(P, 3, 3)`` stack
+    ``C = zb^T za`` by Horn's quaternion eigenvalue; NaN where the SVD must
+    decide.
+
+    The signed singular-value sum ``s`` of :func:`_align` is the largest
+    eigenvalue of Horn's 4 x 4 quaternion matrix of ``C`` (Horn 1987), so the
+    largest root of its characteristic quartic
+    ``P(l) = l^4 - 2|C|^2 l^2 - 8 det(C) l + 2|C^T C|^2 - |C|^4`` (Theobald's
+    QCP, 2005). Newton's method descends to it from ``min(1, sqrt(3) |C|)``,
+    a bound on ``s``, and each pair stops at the first step that is not a
+    descent of more than 4 ulps. A pair is left to the SVD (NaN) when its
+    iterate is not finite or has not stopped after :data:`_QCP_STEPS` steps,
+    when ``s > _CHORD_SWITCH`` (the chord needs the rotation), or when the
+    root is too close to the next one to be accurate,
+    ``P'(s) sin(rho) < _QCP_CONDITION s^4``, as for collinear shapes, where
+    it is double. The arithmetic is elementwise, so a pair gets the same bits
+    alone or in any stack.
+    """
+    t = c.transpose(1, 2, 0).copy()     # t[i, j] holds C_ij of every pair
+    prod = t[:, :, None] * t[:, None]   # C_ki C_kj at [k, i, j]
+    gram = prod[0] + prod[1] + prod[2]  # C^T C
+    sq = gram * gram
+    col = sq[0] + sq[1] + sq[2]
+    norm2 = gram[0, 0] + gram[1, 1] + gram[2, 2]
+    c0 = 2.0 * (col[0] + col[1] + col[2]) - norm2 * norm2
+    b = 8.0 * _det3(t.reshape(9, -1))
+    s = np.full(len(c), np.nan)
+    live, coef = np.arange(len(c)), np.array((2.0 * norm2, b, c0, norm2))
+    lam = np.minimum(np.sqrt(3.0 * norm2), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_QCP_STEPS):
+            if not live.size:
+                break
+            la, lb, lc0, ln2 = coef
+            l2 = lam * lam
+            step = (((l2 - la) * lam - lb) * lam + lc0) / (4.0 * (l2 - ln2) * lam - lb)
+            lam = lam - step
+            go = step > 4.0 * _EPS * lam
+            if not go.all():
+                stop = ~go
+                s[live[stop]] = lam[stop]
+                live, lam, coef = live[go], lam[go], coef[:, go]
+        s2 = s * s
+        sin = np.sqrt(1.0 - s2)
+        slope = 4.0 * (s2 - norm2) * s - b
+        far = (s <= _CHORD_SWITCH) & (slope * sin >= _QCP_CONDITION * (s2 * s2))
+        return np.where(far, np.arcsin(sin), np.nan)
+
+
 def _distances(za: NDArray, zb: NDArray) -> NDArray:
     """Shape distance of each pair of two ``(P, k-1, m)`` preshape stacks;
-    equal preshapes are exactly 0 apart."""
-    rho = _geodesic(za, zb, *_align(za, zb))
+    equal preshapes are exactly 0 apart.
+
+    For m = 3, :func:`_qcp_distances` measures the far pairs. The others, and
+    every pair for other m, take the SVD of :func:`_align` and
+    :func:`_geodesic`, run on just those pairs.
+    """
+    if za.shape[-1] == 3:
+        rho = _qcp_distances(np.matmul(zb.transpose(0, 2, 1), za))
+    else:
+        rho = np.full(len(za), np.nan)
+    rest = np.flatnonzero(np.isnan(rho))
+    if rest.size:
+        a, b = za[rest], zb[rest]
+        rho[rest] = _geodesic(a, b, *_align(a, b))
     rho[np.all(za == zb, axis=(1, 2))] = 0.0
     return rho
 
@@ -257,7 +335,11 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     the smallest taken negative exactly when ``det(Z1^T Z2) < 0``. Because the
     singular values are sorted with only the smallest eligible for the sign
     flip, ``s`` is always nonnegative and the expression agrees with
-    ``arccos(s)``; the range is capped at pi/2 either way.
+    ``arccos(s)``; the range is capped at pi/2 either way. For m = 3 and a
+    far pair, ``s`` is found as the largest eigenvalue of Horn's quaternion
+    matrix (:func:`_qcp_distances`), else from the SVD, with the chord form
+    of :func:`_geodesic` for near pairs; a pair gets the bits it gets in a
+    row of a distance build.
     """
     _check_same_shape(a, b)
     return float(_distances(a.z[None], b.z[None])[0])
@@ -381,8 +463,10 @@ def tangent_coordinates(pole: PreShape, shapes: PreShape | list[PreShape]
     Each shape is first rotated into optimal position, then mapped by the
     inverse exponential of the preshape sphere. Its vector is flattened to
     length ``(k-1)m`` and its Euclidean norm equals the shape distance to the
-    pole, so distances to the pole are preserved exactly; a shape equal to
-    the pole maps to zeros.
+    pole by the SVD evaluation (:func:`_align`, :func:`_geodesic`), so
+    distances to the pole are preserved exactly against that evaluation and
+    within 1e-12 of :func:`procrustes_distance`; a shape equal to the pole
+    maps to zeros.
 
     ``shapes`` is one :class:`PreShape`, giving a ``((k-1)m,)`` vector, or a
     list of P of them, giving ``(P, (k-1)m)`` rows from one kernel call, each
@@ -429,8 +513,14 @@ def exponential_map(pole: PreShape, v: NDArray[np.floating]) -> PreShape:
 # --- manifold backends -------------------------------------------------------
 
 # Fewest pairs of distance rows worth a worker process of their own: smaller
-# builds, such as every macaque build, stay serial (see the README).
-SLAB_PAIRS = 4096
+# builds, such as every macaque build and the 4005 pairs of a 90-row set,
+# stay serial (see the README).
+SLAB_PAIRS = 2048
+
+# Names the distance evaluation of `_distances`, so that `io.ingest` rebuilds a
+# distance cache written by another: QCP for far pairs of 3-D shapes, the SVD
+# for the rest. A change that moves any distance's bits gives it a new name.
+DISTANCE_KERNEL = "qcp-svd"
 
 # Process-wide count of the pairwise-matrix builds `io.ingest` makes, keyed by
 # the dataset's content hash: a dataset's matrix is computed exactly once.

@@ -12,9 +12,12 @@ overrides the inferred response kind.
 The pairwise distance and log-density matrices are cached on disk as a
 ``.npz`` file keyed by a content hash of the preshapes, so unchanged data is
 never re-measured, and invalidation follows content, never timestamps. The
-file is written through a temporary file and renamed into place; one that is
-missing or cannot be read back counts as a miss and is rebuilt. :func:`ingest`
-counts each build it makes (:data:`shapegplm.geometry.MATRIX_BUILD_COUNTS`).
+file also names the distance evaluation that wrote it
+(:data:`shapegplm.geometry.DISTANCE_KERNEL`). It is written through a
+temporary file and renamed into place; one that is missing, cannot be read
+back or names another evaluation counts as a miss and is rebuilt.
+:func:`ingest` counts each build it makes
+(:data:`shapegplm.geometry.MATRIX_BUILD_COUNTS`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InputFileError, InvalidArgumentError
-from .geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend, ShapeSample, preshape
+from .geometry import (
+    DISTANCE_KERNEL,
+    MATRIX_BUILD_COUNTS,
+    KendallShapeBackend,
+    ShapeSample,
+    preshape,
+)
 from .models import GplmFit
 from .smoothing import SmootherCache
 
@@ -275,18 +284,19 @@ def ingest(manifest_path, use_disk_cache: bool = True,
         cache_file = cdir / f"distances-{content[:16]}.npz"
         try:
             with np.load(cache_file) as stored:
-                if ("content_hash" in stored
-                        and str(stored["content_hash"]) == content):
+                if (str(stored["content_hash"]) == content
+                        and str(stored["kernel"]) == DISTANCE_KERNEL):
                     cache = SmootherCache(dist=stored["dist"],
                                           logdens=stored["logdens"])
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            cache = None  # missing, truncated or corrupt: rebuild and overwrite
+            cache = None  # missing, truncated, corrupt or stale: rebuild and overwrite
     if cache is None:
         MATRIX_BUILD_COUNTS[content] = MATRIX_BUILD_COUNTS.get(content, 0) + 1
         cache = SmootherCache.from_points(bundle.shapes, bundle.backend)
         if use_disk_cache:
             _write_atomically(cache_file, dist=cache.dist, logdens=cache.logdens,
-                              content_hash=np.asarray(content))
+                              content_hash=np.asarray(content),
+                              kernel=np.asarray(DISTANCE_KERNEL))
     bundle.cache = cache
     return bundle
 

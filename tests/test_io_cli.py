@@ -25,7 +25,7 @@ from shapegplm import (
 )
 from shapegplm import io as dio
 from shapegplm.cli import main, parse_bandwidth
-from shapegplm.geometry import MATRIX_BUILD_COUNTS, KendallShapeBackend
+from shapegplm.geometry import DISTANCE_KERNEL, MATRIX_BUILD_COUNTS, KendallShapeBackend
 from shapegplm.io import load_model_state
 
 from conftest import MACAQUE_MANIFEST, REPO_ROOT, random_configuration
@@ -121,6 +121,32 @@ class TestIngest:
         with np.load(cache_file) as stored:
             assert str(stored["content_hash"]) == label
             np.testing.assert_array_equal(stored["dist"], bundle.cache.dist)
+
+    @pytest.mark.parametrize("kernel", [None, "svd"], ids=["no kernel entry", "another"])
+    def test_cache_of_another_distance_kernel_is_rebuilt_once(self, rng, tmp_path, kernel):
+        """A cache written by another distance evaluation, or before caches
+        named theirs, is rebuilt and overwritten once, and then hit."""
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        bundle = ingest(manifest)
+        label = bundle.content_hash
+        (cache_file,) = (tmp_path / "ds" / ".shapegplm-cache").glob("*")
+        # a valid cache whose distances differ from this kernel's
+        stale = {"dist": 0.5 * bundle.cache.dist, "logdens": bundle.cache.logdens,
+                 "content_hash": np.asarray(label)}
+        if kernel is not None:
+            stale["kernel"] = np.asarray(kernel)
+        with open(cache_file, "wb") as fh:
+            np.savez(fh, **stale)
+        builds = MATRIX_BUILD_COUNTS[label]
+        rebuilt = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[label] == builds + 1
+        np.testing.assert_array_equal(rebuilt.cache.dist, bundle.cache.dist)
+        hit = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[label] == builds + 1
+        np.testing.assert_array_equal(hit.cache.dist, bundle.cache.dist)
+        assert list(cache_file.parent.iterdir()) == [cache_file]
+        with np.load(cache_file) as stored:
+            assert str(stored["kernel"]) == DISTANCE_KERNEL
 
     def test_dimension_mismatch_names_offender(self, rng, tmp_path):
         root = tmp_path / "ds"

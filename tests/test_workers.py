@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,66 @@ def test_no_multiprocessing_on_import():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# a command that forks two workers: one sleeps, one returns more than a pipe holds
+ORPHANED_RUN = """
+import os, pathlib, sys, time
+from shapegplm import _workers
+
+def mark(name):
+    (pathlib.Path(sys.argv[1]) / f"{name}.tmp").write_text(str(os.getpid()))
+    os.replace(pathlib.Path(sys.argv[1]) / f"{name}.tmp", pathlib.Path(sys.argv[1]) / name)
+
+def slow():
+    mark("slow")
+    time.sleep(2)
+
+def big():
+    mark("big")
+    return b"x" * 2 ** 20
+
+_workers.run([slow, big], 2)
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (zombies have)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_workers_exit_when_the_command_is_killed(tmp_path):
+    """A worker blocked on a full pipe exits once the command that forked it
+    is killed alone: it holds no read end of any pipe, so its write fails."""
+    command = subprocess.Popen([sys.executable, "-c", ORPHANED_RUN, str(tmp_path)],
+                               env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = [int((tmp_path / name).read_text()) for name in ("slow", "big")
+                    if (tmp_path / name).exists()]
+        assert len(pids) == 2, "the workers never started"
+        time.sleep(0.5)   # the big result fills its pipe
+        assert running(pids[1])
+        command.kill()
+        command.wait(timeout=10)
+        deadline = time.monotonic() + 6
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if running(pid)]
+    finally:
+        command.kill()
+        command.wait(timeout=10)
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # --- errors across the process boundary --------------------------------------------
