@@ -28,10 +28,8 @@ from .geometry import (
     SphereBackend,
     centroid_size,
     density_exponent,
-    exponential_map,
     helmert_submatrix,
     log_density_from_distance,
-    log_volume_density,
     preshape,
     procrustes_distance,
     procrustes_mean,
@@ -51,6 +49,6 @@ from .models import (
     predict_ordinal,
 )
 from .selection import CvReport, bandwidth_sweep, loocv
-from .smoothing import KernelSpec, SmootherCache, kernel_weight, pelletier_estimate, smooth_all
+from .smoothing import KernelSpec, SmootherCache, pelletier_estimate, smooth_all
 
 __version__ = "0.1.0"

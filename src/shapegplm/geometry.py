@@ -5,10 +5,13 @@ submatrix) and scale (centroid size) maps them to preshapes, points on the
 unit sphere in R^{m(k-1)}. Shapes are preshapes modulo rotation; all distances
 here are geodesic distances in that quotient, with range [0, pi/2].
 
-Optimal rotations come from the SVD of each pair's ``zb^T za``
-(:func:`_align`). Distances of 3-D shapes come from Horn's quaternion
-eigenvalue instead where the pair is far apart (:func:`_qcp_distances`),
-and from the SVD otherwise; the two agree to within 1e-12.
+Optimal rotations of means and tangents come from the SVD of each pair's
+``zb^T za`` (:func:`_align`). Distances of 3-D shapes come from Horn's
+quaternion matrix instead (:func:`_qcp_distances`): its largest eigenvalue
+for far pairs, and the rotation of its eigenvector for the chord of near
+ones. The SVD measures the pairs where either is ill-conditioned and every
+pair of other m; the two agree to within 1e-12. Distance builds measure
+their pairs in blocks (:func:`_pair_distances`).
 
 A small unit-hypersphere backend is provided alongside the Kendall backend so
 the smoothing and model layers can be exercised on a manifold with elementary
@@ -38,12 +41,10 @@ __all__ = [
     "preshape",
     "procrustes_distance",
     "density_exponent",
-    "log_volume_density",
     "log_density_from_distance",
     "procrustes_mean",
     "MEAN_PAIRS",
     "tangent_coordinates",
-    "exponential_map",
     "KendallShapeBackend",
     "SphereBackend",
 ]
@@ -224,17 +225,23 @@ def _geodesic(za: NDArray, zb: NDArray, s: NDArray, rotation: NDArray) -> NDArra
 
     Evaluates ``arcsin(sqrt(1 - s^2))``. Near ``s = 1`` that expression loses
     half the working precision (the subtraction leaves an O(sqrt(eps)) floor),
-    so the same angle is then taken from the chord after optimal alignment,
-    ``2 arcsin(||za - zb R|| / 2)``, which is exact to full precision for
-    small separations.
+    so the same angle is then taken from the chord after optimal alignment
+    (:func:`_chord_distances`).
     """
     s = np.minimum(np.maximum(s, -1.0), 1.0)   # keeps 1 - s^2 within [0, 1]
     rho = np.arcsin(np.sqrt(1.0 - s * s))
     near = np.flatnonzero(s > _CHORD_SWITCH)
     if near.size:
-        chord = 0.5 * _row_norms(za[near] - np.matmul(zb[near], rotation[near]))
-        rho[near] = 2.0 * np.arcsin(np.minimum(chord, 1.0))
+        rho[near] = _chord_distances(za[near], zb[near], rotation[near])
     return rho
+
+
+def _chord_distances(za: NDArray, zb: NDArray, rotation: NDArray) -> NDArray:
+    """``2 arcsin(||za - zb R|| / 2)`` of pairs aligned by their rotations
+    ``R``: the shape distance, exact to full precision for small
+    separations."""
+    chord = 0.5 * _row_norms(za - np.matmul(zb, rotation))
+    return 2.0 * np.arcsin(np.minimum(chord, 1.0))
 
 
 def _row_norms(v: NDArray) -> NDArray[np.floating]:
@@ -249,27 +256,36 @@ _QCP_STEPS = 50        # Newton steps before a pair is left to the SVD
 # Least P'(s) sin(rho) / s^4 at which the root is trusted: rounding moves rho
 # by up to about 10 eps over this ratio, so by at most about 5e-14.
 _QCP_CONDITION = 0.05
+# Least norm of the adjugate column a chord pair's quaternion is taken from,
+# about the product of the root's gaps to the other three eigenvalues: the
+# quaternion then errs by about 1e-12 at most, which moves the chord of an
+# optimal rotation only at second order.
+_ROTATION_CONDITION = 1e-3
+# For each row i of a 4-vector, the other three rows in order
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_ALTERNATING = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
 
 
-def _qcp_distances(c: NDArray) -> NDArray:
-    """Shape distances of far pairs from their ``(P, 3, 3)`` stack
-    ``C = zb^T za`` by Horn's quaternion eigenvalue; NaN where the SVD must
-    decide.
+def _qcp_distances(za: NDArray, zb: NDArray) -> NDArray:
+    """Shape distances of 3-D pairs, two ``(P, k-1, 3)`` preshape stacks, by
+    Horn's quaternion eigenvalue; NaN where the SVD must decide.
 
     The signed singular-value sum ``s`` of :func:`_align` is the largest
-    eigenvalue of Horn's 4 x 4 quaternion matrix of ``C`` (Horn 1987), so the
-    largest root of its characteristic quartic
+    eigenvalue of Horn's 4 x 4 quaternion matrix ``K`` of ``C = zb^T za``
+    (Horn 1987), so the largest root of its characteristic quartic
     ``P(l) = l^4 - 2|C|^2 l^2 - 8 det(C) l + 2|C^T C|^2 - |C|^4`` (Theobald's
     QCP, 2005). Newton's method descends to it from ``min(1, sqrt(3) |C|)``,
     a bound on ``s``, and each pair stops at the first step that is not a
     descent of more than 4 ulps. A pair is left to the SVD (NaN) when its
     iterate is not finite or has not stopped after :data:`_QCP_STEPS` steps,
-    when ``s > _CHORD_SWITCH`` (the chord needs the rotation), or when the
-    root is too close to the next one to be accurate,
+    or when the root is too close to the next one to be accurate,
     ``P'(s) sin(rho) < _QCP_CONDITION s^4``, as for collinear shapes, where
-    it is double. The arithmetic is elementwise, so a pair gets the same bits
-    alone or in any stack.
+    it is double. Chord pairs (``s > _CHORD_SWITCH``) are measured by
+    :func:`_chord_distances` with the rotation of :func:`_horn_rotations`,
+    or left to the SVD where that rotation is not trusted. The arithmetic
+    is elementwise, so a pair gets the same bits alone or in any stack.
     """
+    c = np.matmul(zb.transpose(0, 2, 1), za)
     t = c.transpose(1, 2, 0).copy()     # t[i, j] holds C_ij of every pair
     prod = t[:, :, None] * t[:, None]   # C_ki C_kj at [k, i, j]
     gram = prod[0] + prod[1] + prod[2]  # C^T C
@@ -298,19 +314,65 @@ def _qcp_distances(c: NDArray) -> NDArray:
         sin = np.sqrt(1.0 - s2)
         slope = 4.0 * (s2 - norm2) * s - b
         far = (s <= _CHORD_SWITCH) & (slope * sin >= _QCP_CONDITION * (s2 * s2))
-        return np.where(far, np.arcsin(sin), np.nan)
+        rho = np.where(far, np.arcsin(sin), np.nan)
+    chord = np.flatnonzero(s > _CHORD_SWITCH)
+    if chord.size:
+        trusted, rotation = _horn_rotations(t.reshape(9, -1)[:, chord], s[chord])
+        chord = chord[trusted]
+        if chord.size:
+            rho[chord] = _chord_distances(za[chord], zb[chord], rotation)
+    return rho
+
+
+def _horn_rotations(entries, s: NDArray):
+    """The optimal rotations of pairs from their ``C`` (nine entries in
+    row-major order, each an array over the pairs) and the largest
+    eigenvalue ``s`` of Horn's matrix ``K``: the mask of the pairs whose
+    rotation is trusted, and those ``(T, 3, 3)`` rotations ``R``, each the
+    :func:`_align` rotation to rounding.
+
+    The unit quaternion of ``R`` spans the null space of ``A = K - sI``. It is
+    the 4-D cross product of any three columns of ``A``; the four choices are
+    the columns of ``adj(A)``, and the one of largest norm is taken. That
+    norm is about the product of the root's gaps to the other eigenvalues;
+    below :data:`_ROTATION_CONDITION`, as for collinear shapes, the pair is
+    not trusted.
+    """
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = entries
+    a = np.array([[c00 + c11 + c22 - s, c21 - c12, c02 - c20, c10 - c01],
+                  [c21 - c12, c00 - c11 - c22 - s, c01 + c10, c02 + c20],
+                  [c02 - c20, c01 + c10, c11 - c00 - c22 - s, c12 + c21],
+                  [c10 - c01, c02 + c20, c12 + c21, c22 - c00 - c11 - s]])
+    # u, v, w[i, j]: row i of the three columns of A other than column j;
+    # component r of a cross product is -1^r times the minor of its other rows
+    u, v, w = (a[:, _OTHERS[:, k]] for k in range(3))
+    i, j, k = _OTHERS.T
+    cross = _ALTERNATING * _det3((u[i], u[j], u[k], v[i], v[j], v[k], w[i], w[j], w[k]))
+    norm = np.sqrt(np.add.reduce(cross * cross, axis=0))
+    best = np.argmax(norm, axis=0)
+    pairs = np.arange(len(s))
+    norm = norm[best, pairs]
+    trusted = norm >= _ROTATION_CONDITION
+    q0, q1, q2, q3 = cross[:, best[trusted], pairs[trusted]] / norm[trusted]
+    s0, s1, s2, s3 = q0 * q0, q1 * q1, q2 * q2, q3 * q3
+    rotation = np.array([
+        [s0 + s1 - s2 - s3, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2)],
+        [2.0 * (q1 * q2 + q0 * q3), s0 - s1 + s2 - s3, 2.0 * (q2 * q3 - q0 * q1)],
+        [2.0 * (q1 * q3 - q0 * q2), 2.0 * (q2 * q3 + q0 * q1), s0 - s1 - s2 + s3]])
+    return trusted, np.ascontiguousarray(rotation.transpose(2, 0, 1))
 
 
 def _distances(za: NDArray, zb: NDArray) -> NDArray:
     """Shape distance of each pair of two ``(P, k-1, m)`` preshape stacks;
     equal preshapes are exactly 0 apart.
 
-    For m = 3, :func:`_qcp_distances` measures the far pairs. The others, and
-    every pair for other m, take the SVD of :func:`_align` and
-    :func:`_geodesic`, run on just those pairs.
+    For m = 3, :func:`_qcp_distances` measures the far pairs, and the chord
+    pairs whose Horn rotation is trusted. The others, and every pair for
+    other m, take the SVD of :func:`_align` and :func:`_geodesic`, run on
+    just those pairs.
     """
     if za.shape[-1] == 3:
-        rho = _qcp_distances(np.matmul(zb.transpose(0, 2, 1), za))
+        rho = _qcp_distances(za, zb)
     else:
         rho = np.full(len(za), np.nan)
     rest = np.flatnonzero(np.isnan(rho))
@@ -335,11 +397,12 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     the smallest taken negative exactly when ``det(Z1^T Z2) < 0``. Because the
     singular values are sorted with only the smallest eligible for the sign
     flip, ``s`` is always nonnegative and the expression agrees with
-    ``arccos(s)``; the range is capped at pi/2 either way. For m = 3 and a
-    far pair, ``s`` is found as the largest eigenvalue of Horn's quaternion
-    matrix (:func:`_qcp_distances`), else from the SVD, with the chord form
-    of :func:`_geodesic` for near pairs; a pair gets the bits it gets in a
-    row of a distance build.
+    ``arccos(s)``; the range is capped at pi/2 either way. Near pairs take
+    the chord form of :func:`_chord_distances` instead. For m = 3, ``s`` is
+    the largest eigenvalue of Horn's quaternion matrix, and a near pair's
+    rotation comes from its eigenvector (:func:`_qcp_distances`); the SVD
+    serves the pairs where either is ill-conditioned, and other m. A pair
+    gets the bits it gets in any block of a distance build.
     """
     _check_same_shape(a, b)
     return float(_distances(a.z[None], b.z[None])[0])
@@ -374,13 +437,6 @@ def log_density_from_distance(rho, k: int, m: int) -> NDArray[np.floating]:
     and its reciprocal overflows in linear domain.
     """
     return density_exponent(k, m) * _log_sinc(rho)
-
-
-def log_volume_density(a: PreShape, b: PreShape) -> float:
-    """Log volume density of the shape manifold at ``b`` relative to ``a``."""
-    _check_same_shape(a, b)
-    rho = procrustes_distance(a, b)
-    return float(log_density_from_distance(rho, a.k, a.m))
 
 
 # Most preshape pairs in one kernel call of a stacked procrustes_mean, e.g.
@@ -499,51 +555,58 @@ def tangent_coordinates(pole: PreShape, shapes: PreShape | list[PreShape]
     return out
 
 
-def exponential_map(pole: PreShape, v: NDArray[np.floating]) -> PreShape:
-    """Inverse of :func:`tangent_coordinates`: map a tangent vector back to a
-    preshape on the sphere."""
-    v = np.asarray(v, dtype=float).reshape(pole.z.shape)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-300:
-        return pole
-    z = np.cos(norm) * pole.z + np.sin(norm) * (v / norm)
-    return PreShape(z / np.linalg.norm(z))
-
-
 # --- manifold backends -------------------------------------------------------
 
-# Fewest pairs of distance rows worth a worker process of their own: smaller
-# builds, such as every macaque build and the 4005 pairs of a 90-row set,
-# stay serial (see the README).
-SLAB_PAIRS = 2048
+# Fewest pairs of a distance build worth a worker process of their own:
+# smaller builds, such as every macaque build, the 4005 pairs of a 90-row set
+# and both builds of a 300-row set with 100 queries, stay serial (see the
+# README).
+SLAB_PAIRS = 32768
+
+# Most preshape values ((k-1) m per pair) in one block of a distance build:
+# 1149 pairs of k = 20 shapes, 445 of k = 50. A block's fixed cost, some 250 numpy
+# calls, is then small beside its pairs, and its temporaries stay below the
+# n x n outputs of a 300-point pairwise build (see the README).
+BLOCK_VALUES = 2 ** 16
 
 # Names the distance evaluation of `_distances`, so that `io.ingest` rebuilds a
-# distance cache written by another: QCP for far pairs of 3-D shapes, the SVD
-# for the rest. A change that moves any distance's bits gives it a new name.
-DISTANCE_KERNEL = "qcp-svd"
+# distance cache written by another: QCP for far pairs of 3-D shapes, Horn's
+# rotation for their chord pairs, the SVD for the rest. A change that moves
+# any distance's bits gives it a new name.
+DISTANCE_KERNEL = "qcp-horn-svd"
 
 # Process-wide count of the pairwise-matrix builds `io.ingest` makes, keyed by
 # the dataset's content hash: a dataset's matrix is computed exactly once.
 MATRIX_BUILD_COUNTS: dict[str, int] = {}
 
 
-def _distance_rows(a: NDArray, b: NDArray, after: bool = False) -> list[NDArray]:
-    """Distances from each preshape of stack ``a`` to the preshapes of ``b``,
-    one row per kernel call: row ``i`` against ``b[i + 1:]`` when ``after``
-    (``a`` is then ``b`` less its last point), else against all of ``b``.
+def _pair_distances(a: NDArray, b: NDArray, upper: bool = False) -> NDArray:
+    """Distances of the pairs ``(a[i], b[j])`` of two preshape stacks, in
+    row-major order: every ``j``, or, when ``upper`` (``a`` is then ``b``),
+    every ``j > i``.
 
-    Each row is one task of :func:`_workers.run`, so row ``i`` runs on worker
-    ``i mod w`` and comes back in place. The rows go to forked worker
-    processes when each worker gets at least :data:`SLAB_PAIRS` pairs.
+    The pairs are cut into blocks of about one size, as few as hold at most
+    :data:`BLOCK_VALUES` preshape values each, and about as many as workers
+    when that is more. Each block is one :func:`_distances` call and one
+    task of :func:`_workers.run`, so block ``t`` runs on worker ``t mod w``
+    and comes back in place. The blocks go to forked worker processes when
+    each worker gets at least :data:`SLAB_PAIRS` pairs. A pair gets the
+    same bits in any block.
     """
-    n = len(a)
+    lengths = len(b) - np.arange(1, len(a) + 1) * upper
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    total = int(starts[-1])
+    workers = _workers.count(total // SLAB_PAIRS)
+    count = max(workers, -(-total * b.shape[1] * b.shape[2] // BLOCK_VALUES))
+    size = max(1, -(-total // count))   # all blocks of about one size
 
-    def row(i):
-        rest = b[(i + 1) * after:]
-        return _distances(np.broadcast_to(a[i], rest.shape), rest)
+    def block(first):
+        pair = np.arange(first, min(first + size, total))
+        i = np.searchsorted(starts, pair, side="right") - 1
+        return _distances(a[i], b[pair - starts[i] + (i + 1) * upper])
 
-    workers = _workers.count((n * len(b) - after * n * (n + 1) // 2) // SLAB_PAIRS)
-    return _workers.run([partial(row, i) for i in range(n)], workers)
+    blocks = [partial(block, first) for first in range(0, total, size)]
+    return np.concatenate([np.empty(0), *_workers.run(blocks, workers)])
 
 
 @dataclass(frozen=True)
@@ -581,14 +644,14 @@ class KendallShapeBackend:
     def pairwise_matrices(self, points: list[PreShape]):
         """Distance and log-density matrices over a point list.
 
-        Both are symmetric with exactly zero diagonals. Row ``i`` is measured
-        against the points after it (see :func:`_distance_rows`).
+        Both are symmetric with exactly zero diagonals. The pairs of the
+        upper triangle are measured in blocks (see :func:`_pair_distances`).
         """
         z = self._stack(points)
-        dist = np.zeros((len(z), len(z)))
-        for i, row in enumerate(_distance_rows(z[:-1], z, after=True)):
-            dist[i, i + 1:] = dist[i + 1:, i] = row
-        del z   # freed, like the rows, before the log densities' n x n temporaries
+        upper = np.triu(np.ones((len(z), len(z)), dtype=bool), 1)
+        dist = np.zeros(upper.shape)
+        dist[upper] = dist.T[upper] = _pair_distances(z, z, upper=True)
+        del z, upper   # freed before the log densities' n x n temporaries
         logdens = self.log_density_at(dist)
         np.fill_diagonal(logdens, 0.0)
         return dist, logdens
@@ -596,9 +659,9 @@ class KendallShapeBackend:
     def cross_distances(self, queries: list[PreShape],
                         points: list[PreShape]) -> NDArray:
         """``(Q, n)`` distances from each of ``queries`` to each of ``points``,
-        row ``q`` measured as a row of :meth:`pairwise_matrices` is."""
+        each pair measured as in :meth:`pairwise_matrices`."""
         q, z = self._stack(queries), self._stack(points)
-        return np.array(_distance_rows(q, z)).reshape(len(q), len(z))
+        return _pair_distances(q, z).reshape(len(q), len(z))
 
     def distances_to(self, query: PreShape, points: list[PreShape]) -> NDArray:
         return self.cross_distances([query], points)[0]

@@ -52,6 +52,7 @@ from .smoothing import (
     SmootherCache,
     _checked_cache,
     _finite,
+    _normalised,
     _weighted_average,
     apply_weights,
     normalised_weight_matrix,
@@ -61,7 +62,7 @@ from .smoothing import (
 __all__ = ["FitConfig", "GplmFit", "OrdinalWorkMatrices", "OrdinalPrediction",
            "FIT_STATUSES", "fit_plm", "fit_logistic_plm", "predict_logistic",
            "ordinal_work_matrices", "fit_ordinal_plm", "predict_ordinal",
-           "fit_stack"]
+           "fit_stack", "predict_stack"]
 
 # How an iterative fit can end. A single fit raises DivergenceError instead of
 # returning "diverged"; a stacked fit returns it.
@@ -212,8 +213,8 @@ def fit_plm(y, x, shapes, spec: KernelSpec, backend,
 def _binary_deviance_mean(y: NDArray, eta: NDArray):
     """Mean of -[y log p + (1-y) log(1-p)] over the last axis, computed
     stably from eta."""
-    sign = np.where(y > 0.5, 1.0, -1.0)
-    return np.add.reduce(_softplus(-sign * eta), axis=-1) / eta.shape[-1]
+    flip = np.where(y > 0.5, -1.0, 1.0)   # minus the sign of y - 1/2
+    return np.add.reduce(_softplus(flip * eta), axis=-1) / eta.shape[-1]
 
 
 def _times(a, b):
@@ -223,15 +224,15 @@ def _times(a, b):
     return a * b + 0.0 if b.shape[1] == 1 else a @ b
 
 
-def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
+def _irls(model: str, family, w_smooth, x, bandwidths: list[float],
           cfg: FitConfig) -> list[GplmFit]:
     """The sweep shared by the logistic and ordinal fits, on a stack of G
     problems of one size.
 
     ``w_smooth`` holds each problem's ``n x n`` row-normalised smoother
-    weights and ``x`` its ``n x p`` design. The working quantities are held
-    logit-major, ``(L, G, n)``, so that every elementwise step runs over long
-    contiguous rows. ``family`` is ``(phi0, data, step, normal)``: the
+    weights, at its bandwidth in ``bandwidths``, and ``x`` its ``n x p``
+    design. The working quantities are held logit-major, ``(L, G, n)``, so
+    that every elementwise step runs over long contiguous rows. ``family`` is ``(phi0, data, step, normal)``: the
     ``(L, G, n)`` starting smooth; a tuple of per-problem response arrays;
     ``step(data, eta, prob)``, which takes the linear predictor and the
     fitted probabilities ``expit(eta)`` and returns each problem's mean
@@ -279,7 +280,7 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
                 g=phi0_j - (phi[j] @ beta[j])[:, None],
                 z_final=np.ascontiguousarray(z[:, j].T),
                 iterations=len(traces[k]), converged=(status == "converged"),
-                status=status, bandwidth=spec.bandwidth, e_trace=traces[k])
+                status=status, bandwidth=bandwidths[k], e_trace=traces[k])
         # each stopped problem in the front gives its place to a kept one
         # from the back, so every problem moves at most once
         stopped = [status is not None for status in statuses]
@@ -306,10 +307,10 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
             deviance, z_new, weights = step(data, eta, prob)
             if it > 1:
                 separated = ((deviance < cfg.separation_deviance)
-                             | ((prob == 0.0) | (prob == 1.0)).any(axis=(0, 2)))
-                if separated.any():
+                             | ((prob == 0.0) | (prob == 1.0)).any(axis=(0, 2))).tolist()
+                if any(separated):
                     z_new, *weights = stop(
-                        ["separation" if s else None for s in separated.tolist()],
+                        ["separation" if s else None for s in separated],
                         (z_new, *weights))
                     if not rows:
                         break
@@ -317,15 +318,16 @@ def _irls(model: str, family, w_smooth, x, spec: KernelSpec,
             phi0 = _weighted_average(w_smooth, _finite(z), logit_major=True)
             beta_new = _solve(*normal(xc, weights, z - phi0), cfg.ridge)
             norm = _row_norms(beta_new)
-            e = _row_norms(beta_new - beta) / np.maximum(norm, 1e-300)
-            for k, e_k in zip(rows, e.tolist()):
+            e = (_row_norms(beta_new - beta) / np.maximum(norm, 1e-300)).tolist()
+            for k, e_k in zip(rows, e):
                 traces[k].append(e_k)
             beta = beta_new
-            diverged = norm > cfg.divergence_norm
-            converged = e < cfg.threshold
-            if (diverged | converged).any():
-                stop(["diverged" if d else "converged" if c else None
-                      for d, c in zip(diverged.tolist(), converged.tolist())])
+            # Python's float comparisons are numpy's, NaN included
+            statuses = ["diverged" if n > cfg.divergence_norm
+                        else "converged" if e_k < cfg.threshold else None
+                        for n, e_k in zip(norm.tolist(), e)]
+            if any(statuses):
+                stop(statuses)
                 if not rows:
                     break
         if rows:
@@ -342,7 +344,7 @@ def _fit_one(model: str, family, x, shapes, spec: KernelSpec, backend,
     cache = _checked_cache(shapes, backend, cache)
     spec.check_against(backend)
     w_smooth = normalised_weight_matrix(cache, spec)
-    fit, = _irls(model, family, w_smooth[None], x[None], spec, cfg)
+    fit, = _irls(model, family, w_smooth[None], x[None], [spec.bandwidth], cfg)
     if fit.status == "diverged":
         raise DivergenceError(f"slope norm exceeded {cfg.divergence_norm:g} "
                               f"at iteration {fit.iterations}")
@@ -395,10 +397,8 @@ def fit_logistic_plm(y, x, shapes, spec: KernelSpec, backend,
 def _query_terms(fit: GplmFit, model: str, x_new, s_new, train_shapes, train_x,
                  spec: KernelSpec | None, backend, query_rows):
     """Whether one query was given (a stack of one), and the three terms of
-    the linear predictor at each query point: ``x_new @ beta``, the smooth of
-    the stored working targets (one column per logit) and the smooth of the
-    training covariates times ``beta``. The families add them up in
-    different orders, which shows in the last bits."""
+    the linear predictor at each query point (:func:`_terms`). The families
+    add them up in different orders, which shows in the last bits."""
     if fit.model != model:
         raise InvalidArgumentError(f"{model} prediction needs a {model} fit, "
                                    f"got {fit.model!r}")
@@ -414,8 +414,16 @@ def _query_terms(fit: GplmFit, model: str, x_new, s_new, train_shapes, train_x,
     query_rows = np.atleast_2d(*query_rows)
     phi0_new = smooth_at(*query_rows, fit.z_final, spec, query=query)
     phi_new = smooth_at(*query_rows, train_x, spec, query=query)
-    b = fit.beta[:, None]  # (Q, p) @ (p,) would sum in another order
-    return one, (x_new[:, None] @ b)[:, 0, 0], phi0_new, (phi_new[:, None] @ b)[:, 0, 0]
+    return one, _terms(x_new, fit.beta, phi0_new, phi_new)
+
+
+def _terms(x_new, beta, phi0_new, phi_new):
+    """``x_new @ beta``, the smooth ``phi0_new`` of the working targets and
+    the covariate smooth times ``beta`` at Q query points, from one fit's
+    ``beta`` or one ``(Q, p)`` row per query: each query's products run alone,
+    as ``(Q, p) @ (p,)`` would sum in another order."""
+    b = beta[..., None]
+    return (x_new[:, None] @ b)[:, 0, 0], phi0_new, (phi_new[:, None] @ b)[:, 0, 0]
 
 
 def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
@@ -431,10 +439,15 @@ def predict_logistic(fit: GplmFit, x_new, s_new, train_shapes, train_x,
     ``(distances, log_densities)`` from ``s_new`` to the training sample,
     e.g. rows sliced from a dataset-wide cache.
     """
-    one, xb, phi0, phib = _query_terms(fit, "logistic", x_new, s_new, train_shapes,
-                                       train_x, spec, backend, query_rows)
-    prob = _expit(xb + phi0[:, 0] - phib)
+    one, terms = _query_terms(fit, "logistic", x_new, s_new, train_shapes, train_x,
+                              spec, backend, query_rows)
+    prob = _logistic_probs(*terms)
     return float(prob[0]) if one else prob
+
+
+def _logistic_probs(xb, phi0, phib) -> NDArray[np.floating]:
+    """Class-1 probabilities from the terms of :func:`_terms`."""
+    return _expit(xb + phi0[:, 0] - phib)
 
 
 @dataclass(frozen=True)
@@ -574,14 +587,15 @@ def fit_ordinal_plm(y, x, shapes, spec: KernelSpec, backend,
 _FAMILIES = {"logistic": _logistic, "ordinal": _ordinal}
 
 
-def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
+def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec | list[KernelSpec],
               cfg: FitConfig | None = None) -> list[GplmFit]:
     """Logistic or ordinal fits of G problems of one size, advanced together.
 
     ``y`` is ``(G, n)``, ``x`` the ``(G, n, p)`` designs and ``w_smooth`` the
     ``(G, n, n)`` row-normalised smoother weights of each problem's sample at
-    the bandwidth of ``spec`` (slice ``g`` as :func:`normalised_weight_matrix`
-    returns it for problem ``g``). Each fit equals, bit for bit, the one
+    the bandwidth of ``spec``, or of its own entry of a list of G specs
+    (slice ``g`` as :func:`normalised_weight_matrix` returns it for problem
+    ``g``). Each fit equals, bit for bit, the one
     :func:`fit_logistic_plm` or :func:`fit_ordinal_plm` makes for its
     problem alone, except that a problem whose slope diverges ends with
     ``status="diverged"`` instead of raising :class:`DivergenceError`.
@@ -607,7 +621,11 @@ def fit_stack(model: str, y, x, w_smooth, spec: KernelSpec,
         raise InvalidArgumentError("design contains non-finite values")
     if y.shape[1] <= x.shape[2]:
         raise InvalidArgumentError("need more observations than covariates")
-    return _irls(model, _FAMILIES[model](y, cfg), w_smooth, x, spec, cfg)
+    specs = spec if isinstance(spec, list) else [spec] * len(y)
+    if len(specs) != len(y):
+        raise InvalidArgumentError(f"{len(specs)} kernel specs for {len(y)} problems")
+    return _irls(model, _FAMILIES[model](y, cfg), w_smooth, x,
+                 [s.bandwidth for s in specs], cfg)
 
 
 @dataclass(frozen=True)
@@ -628,13 +646,39 @@ def predict_ordinal(fit: GplmFit, x_new, s_new, train_shapes, train_x,
 
     Arguments work as in :func:`predict_logistic`; a stack gives a list.
     """
-    one, xb, phi0, phib = _query_terms(fit, "ordinal", x_new, s_new, train_shapes,
-                                       train_x, spec, backend, query_rows)
+    one, terms = _query_terms(fit, "ordinal", x_new, s_new, train_shapes, train_x,
+                              spec, backend, query_rows)
+    preds = _ordinal_predictions(*terms)
+    return preds[0] if one else preds
+
+
+def _ordinal_predictions(xb, phi0, phib) -> list[OrdinalPrediction]:
+    """One :class:`OrdinalPrediction` per query from the terms of
+    :func:`_terms`."""
     gam = _expit((xb - phib)[:, None] + phi0)
     repaired = gam[:, 0] > gam[:, 1]
     gam[repaired] = gam[repaired, ::-1]
     probs = _ordinal_category_probs(gam)
-    preds = [OrdinalPrediction(probs=p, category=c + 1, monotone_repaired=r)
-             for p, c, r in zip(probs, np.argmax(probs, axis=1).tolist(),
-                                repaired.tolist())]
-    return preds[0] if one else preds
+    return [OrdinalPrediction(probs=p, category=c + 1, monotone_repaired=r)
+            for p, c, r in zip(probs, np.argmax(probs, axis=1).tolist(),
+                               repaired.tolist())]
+
+
+def predict_stack(model: str, fits: list[GplmFit], x_new, train_x, log_w, query=None):
+    """Logistic or ordinal predictions at Q query points, each from its own
+    fit, in one pass: e.g. the held-out rows of a stack of cross-validation
+    folds.
+
+    ``fits`` holds each query's fit, ``x_new`` its ``(Q, p)`` covariates,
+    ``train_x`` the ``(Q, n, p)`` training covariates of its fit, and
+    ``log_w`` its ``(Q, n)`` unnormalised log kernel weights against its
+    fit's training sample, which are overwritten. Returns what
+    :func:`predict_logistic` or :func:`predict_ordinal` returns for a stack
+    of queries; each query's result is, bit for bit, the one that call gives
+    with the query's own fit and weight row.
+    """
+    w = _normalised(log_w, query)[:, None]
+    phi0 = _weighted_average(w, np.array([fit.z_final for fit in fits]))[:, 0]
+    phi = _weighted_average(w, train_x)[:, 0]
+    terms = _terms(x_new, np.array([fit.beta for fit in fits]), phi0, phi)
+    return (_logistic_probs if model == "logistic" else _ordinal_predictions)(*terms)

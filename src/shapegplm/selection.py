@@ -10,7 +10,8 @@ The fold fits of :func:`loocv` run as stacks through
 :func:`shapegplm.models.fit_stack`: folds of one bandwidth whose training
 sets have the same size are fitted together, at most :data:`STACK_WEIGHTS`
 smoother weights (4 MiB) at a time, and each stack's held-out rows are
-predicted as soon as it is fitted. A sweep's cost is mostly a fixed number of
+predicted as soon as it is fitted. When the folds of every bandwidth fit
+under one cap, they are one stack. A sweep's cost is mostly a fixed number of
 numpy calls, so wider stacks are faster; the cap bounds the memory they take.
 :func:`run_folds` makes the stacks of every bandwidth at once, for
 :func:`loocv` over a whole grid and the tangent-PCA baseline alike, and runs
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _workers
-from .errors import DegenerateDatasetError, InvalidArgumentError
+from .errors import BandwidthTooSmallError, DegenerateDatasetError, InvalidArgumentError
 # loocv fits through fit_stack; the per-fold fitters stay importable here
 # because bench/tracing.py wraps them under these names.
 from .models import (  # noqa: F401
@@ -40,6 +41,7 @@ from .models import (  # noqa: F401
     fit_stack,
     predict_logistic,
     predict_ordinal,
+    predict_stack,
 )
 from .smoothing import (
     KernelSpec,
@@ -107,15 +109,18 @@ def run_folds(bundle, model: str, keys, labels, classes, fit_folds,
     recorded. The rest are fitted once per key in ``keys`` (the bandwidths,
     or ``[0.0]`` for a model without one), which also index the report. They
     are fitted as stacks: folds of one key whose training sets have one size
-    ``n``, at most ``per_stack(n)`` of them. ``fit_folds(key, folds)`` fits
-    one: given a list of ``(held, train)`` row-index pairs, it returns for
-    each fold a pair ``(status, rows)``, the status its fit ended with and
-    one ``(row, predicted, probs)`` per held-out row, or ``None`` for
-    ``rows`` to skip the fold. When the folds of all keys need more than one
-    capped stack, every stack runs on one pool of forked worker processes
-    (:mod:`shapegplm._workers`, sized by ``SHAPEGPLM_THREADS``): each size's
-    folds are cut into the same number of stacks per key, about a multiple
-    of the worker count in all. The report is the same.
+    ``n``, at most ``per_stack(n)`` of them; when the folds of every key
+    have one size and fit under one cap, they are one stack, key by key.
+    ``fit_folds(keys, folds)`` fits one: given each fold's key and a list of
+    ``(held, train)`` row-index pairs, it returns for each fold a pair
+    ``(status, rows)``, the status its fit ended with and one ``(row,
+    predicted, probs)`` per held-out row, or ``None`` for ``rows`` to skip
+    the fold. When the folds of all keys need
+    more than one capped stack, every stack runs on one pool of forked
+    worker processes (:mod:`shapegplm._workers`, sized by
+    ``SHAPEGPLM_THREADS``): each size's folds are cut into the same number
+    of stacks per key, about a multiple of the worker count in all. The
+    report is the same.
     """
     if len(bundle.samples) < 3:
         raise InvalidArgumentError("cross-validation needs at least 3 rows")
@@ -134,19 +139,25 @@ def run_folds(bundle, model: str, keys, labels, classes, fit_folds,
     capped = {n: -(-len(keys) * len(members) // max(1, per_stack(n)))
               for n, members in groups.items()}
     workers = _workers.count(sum(capped.values()))
-    stacks = []
-    for key in keys:
-        for n, members in groups.items():
-            count = min(len(members),
-                        -(-(-(-capped[n] // workers) * workers) // len(keys)))
-            size = -(-len(members) // count)
-            stacks += [(key, members[i:i + size])
-                       for i in range(0, len(members), size)]
-    parts = _workers.run([partial(fit_folds, key, [folds[f] for f in stack])
-                          for key, stack in stacks], workers)
+    stacks = []   # lists of (key, fold) pairs
+    if sum(capped.values()) == 1:
+        # A stack sweeps as long as its slowest fold, so one stack of every
+        # key saves the sweeps of all but one
+        stacks.append([(key, f) for key in keys for f in range(len(folds))])
+    else:
+        for key in keys:
+            for n, members in groups.items():
+                count = min(len(members),
+                            -(-(-(-capped[n] // workers) * workers) // len(keys)))
+                size = -(-len(members) // count)
+                stacks += [[(key, f) for f in members[i:i + size]]
+                           for i in range(0, len(members), size)]
+    parts = _workers.run([partial(fit_folds, [key for key, _ in stack],
+                                  [folds[f] for _, f in stack])
+                          for stack in stacks], workers)
     outcome = {key: dict.fromkeys(fitted) for key in keys}   # in fold order
-    for (key, stack), part in zip(stacks, parts):
-        for f, res in zip(stack, part):
+    for stack, part in zip(stacks, parts):
+        for (key, f), res in zip(stack, part):
             outcome[key][fitted[f]] = res
 
     report = CvReport(model=model, bandwidths=list(keys), accuracy={},
@@ -213,8 +224,9 @@ def loocv(bundle, model: str, spec: KernelSpec | list[KernelSpec],
     for s in specs.values():
         s.check_against(backend)
 
-    # Stacks come bandwidth by bandwidth, so each process that fits them, a
-    # worker or the serial command, computes one bandwidth's matrix once.
+    # Stacks, and the runs of a stack of every bandwidth, come bandwidth by
+    # bandwidth, so each process that fits them, a worker or the serial
+    # command, computes one bandwidth's matrix once.
     @lru_cache(maxsize=1)
     def log_weights(h):
         return _log_weights(full_cache.dist, full_cache.logdens, specs[h])
@@ -231,25 +243,55 @@ def loocv(bundle, model: str, spec: KernelSpec | list[KernelSpec],
             SmootherCache.from_points([shapes[i] for i in t], backend), spec)
             for t in trains])
 
-    def predict_held(fit, spec, held, train):
-        rows = None
-        if use_cache:
-            block = np.ix_(held, train)
-            rows = full_cache.dist[block], full_cache.logdens[block]
-        preds = predict(fit, x[held], [shapes[i] for i in held],
-                        [shapes[i] for i in train], x[train], spec, backend,
-                        query_rows=rows)
+    def held_rows(held, preds):
         if logistic:
             return [(i, 1 if p > 0.5 else 0, (1.0 - p, p))
                     for i, p in zip(held.tolist(), preds.tolist())]
         return [(i, p.category, p.probs) for i, p in zip(held.tolist(), preds)]
 
-    def fit_folds(h, folds):
-        spec = specs[h]
+    def predict_held(live, held_w):
+        """The held-out rows of the fitted folds ``live``, ``(fit, spec,
+        (held, train))`` triples, in order: with ``use_cache`` from one
+        prediction for all, each row weighted by its log-weight row in
+        ``held_w``, else from one call per fold, which measures its own rows."""
+        if not use_cache:
+            return [row for fit, spec, (held, train) in live for row in held_rows(
+                held, predict(fit, x[held], [shapes[i] for i in held],
+                              [shapes[i] for i in train], x[train], spec, backend))]
+        per_row = [(fit, train, len(held)) for fit, _, (held, train) in live for _ in held]
+        fits, trains, counts = zip(*per_row)
+        held = np.concatenate([held for _, _, (held, _) in live])
+        try:
+            return held_rows(held, predict_stack(model, fits, x[held], x[np.array(trains)],
+                                                 held_w))
+        except BandwidthTooSmallError:
+            # named as the failing fold's own prediction names it
+            bad = int(np.argmin(np.isfinite(held_w.max(axis=1))))
+            raise BandwidthTooSmallError(f"<one of {counts[bad]} query points>") from None
+
+    def fit_folds(hs, folds):
+        """Fits a stack of folds, ``hs`` holding each fold's bandwidth: one
+        for all, or, in a stack of every bandwidth's folds, a run of folds
+        for each in turn. Each run's weights, and with ``use_cache`` the
+        log-weight rows of its held-out rows, come from its bandwidth's one
+        matrix."""
         trains = np.array([train for _, train in folds])
-        fits = fit_stack(model, y[trains], x[trains], weights(spec, trains), spec, cfg)
+        cuts = [0] + [k for k in range(1, len(hs)) if hs[k] != hs[k - 1]] + [len(hs)]
+        w, held_w = [], []
+        for a, b in zip(cuts, cuts[1:]):
+            w.append(weights(specs[hs[a]], trains[a:b]))
+            if use_cache:
+                held_w += [log_weights(hs[a])[held[:, None], train]
+                           for held, train in folds[a:b]]
+        fits = fit_stack(model, y[trains], x[trains],
+                         w[0] if len(w) == 1 else np.concatenate(w),
+                         specs[hs[0]] if len(w) == 1 else [specs[h] for h in hs], cfg)
+        live = [k for k, fit in enumerate(fits) if fit.status != "diverged"]
+        rows = iter(predict_held([(fits[k], specs[hs[k]], folds[k]) for k in live],
+                                 np.concatenate([held_w[k] for k in live]) if use_cache
+                                 else None) if live else [])
         return [(fit.status, None if fit.status == "diverged"
-                 else predict_held(fit, spec, *fold)) for fit, fold in zip(fits, folds)]
+                 else [next(rows) for _ in held]) for fit, (held, _) in zip(fits, folds)]
 
     classes = [0, 1] if logistic else [1, 2, 3]
     return run_folds(bundle, model, list(specs), y, classes, fit_folds,

@@ -18,8 +18,7 @@ from numpy.typing import NDArray
 
 from .errors import BandwidthTooSmallError, InvalidArgumentError
 
-__all__ = ["KernelSpec", "SmootherCache", "kernel_weight",
-           "pelletier_estimate", "smooth_all"]
+__all__ = ["KernelSpec", "SmootherCache", "pelletier_estimate", "smooth_all"]
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,6 @@ def _checked_cache(points, backend, cache: SmootherCache | None) -> SmootherCach
         raise InvalidArgumentError(
             f"cache built for {cache.n} points cannot serve {len(points)} points")
     return cache
-
-
-def kernel_weight(d: float, spec: KernelSpec) -> float:
-    """Unnormalised Gaussian kernel value ``exp(-d^2 / (2 h^2))``."""
-    if d < 0:
-        raise InvalidArgumentError(f"distance must be nonnegative, got {d}")
-    return float(np.exp(_log_weights(d, 0.0, spec)))
 
 
 def _log_weights(dist, logdens, spec: KernelSpec) -> NDArray[np.floating]:

@@ -12,10 +12,8 @@ from shapegplm import (
     SphereBackend,
     centroid_size,
     density_exponent,
-    exponential_map,
     helmert_submatrix,
     log_density_from_distance,
-    log_volume_density,
     preshape,
     procrustes_distance,
     procrustes_mean,
@@ -23,6 +21,22 @@ from shapegplm import (
 )
 
 from conftest import random_configuration, random_preshape, random_rotation
+
+
+def log_volume_density(a: PreShape, b: PreShape) -> float:
+    """Log volume density of the shape manifold at ``b`` relative to ``a``."""
+    return float(log_density_from_distance(procrustes_distance(a, b), a.k, a.m))
+
+
+def exponential_map(pole: PreShape, v) -> PreShape:
+    """Inverse of :func:`tangent_coordinates`: map a tangent vector back to a
+    preshape on the sphere."""
+    v = np.asarray(v, dtype=float).reshape(pole.z.shape)
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-300:
+        return pole
+    z = np.cos(norm) * pole.z + np.sin(norm) * (v / norm)
+    return PreShape(z / np.linalg.norm(z))
 
 
 class TestHelmert:

@@ -122,7 +122,8 @@ class TestIngest:
             assert str(stored["content_hash"]) == label
             np.testing.assert_array_equal(stored["dist"], bundle.cache.dist)
 
-    @pytest.mark.parametrize("kernel", [None, "svd"], ids=["no kernel entry", "another"])
+    @pytest.mark.parametrize("kernel", [None, "svd", "qcp-svd"],
+                             ids=["no kernel entry", "another", "previous"])
     def test_cache_of_another_distance_kernel_is_rebuilt_once(self, rng, tmp_path, kernel):
         """A cache written by another distance evaluation, or before caches
         named theirs, is rebuilt and overwritten once, and then hit."""

@@ -4,11 +4,11 @@ reference for the stacked alignment kernel in :mod:`shapegplm.geometry`.
 The kernel does each pair's arithmetic in the same order as the one-pair
 evaluation, so every mean and tangent vector, and every distance of planar
 (m = 2) shapes, must agree exactly, not to a tolerance, also when the
-distance rows run on forked worker processes. Distances of 3-D shapes come
-from the quaternion eigenvalue for far pairs: they must agree with the SVD
+distance blocks run on forked worker processes. Distances of 3-D shapes come
+from Horn's quaternion matrix for most pairs: they must agree with the SVD
 loop here within :data:`SVD_TOL`, and bit for bit with the scalar QCP loop of
-``test_reference_qcp.py``. A memory check keeps the pairwise build row by
-row.
+``test_reference_qcp.py``. A memory check keeps the pairwise build in
+small blocks.
 """
 
 import tracemalloc
@@ -276,12 +276,12 @@ def test_leave_two_out_means_and_tangents_match_reference(data, macaque_bundle, 
 
 # --- memory ------------------------------------------------------------------
 
-def test_pairwise_build_stays_row_by_row(monkeypatch):
-    """The build measures one row against the points after it at a time, so
-    its traced peak stays a small multiple of the two ``n x n`` outputs, and
-    the preshape stack and rows are gone before the log densities are taken.
-    Gathering large pair stacks (thousands of pairs per kernel call) breaks
-    the bound."""
+def test_pairwise_build_stays_in_small_blocks(monkeypatch):
+    """The build measures blocks of at most ``geometry.BLOCK_VALUES``
+    preshape values, fewer pairs the larger k, so its traced peak stays a
+    small multiple of the two ``n x n`` outputs at every k, and the preshape
+    stack and blocks are gone before the log densities are taken. Blocks of
+    a fixed thousand pairs break the bound at k = 50."""
     monkeypatch.setenv("SHAPEGPLM_THREADS", "1")  # traced in this process
     n = 300
     for k in (K_SYNTH, 50):
@@ -310,8 +310,9 @@ def planar_k6():
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_forked_builds_match_reference(workers, monkeypatch, synth):
-    """With one pair a slab, every build of two or more rows deals them out
-    to the workers; each row still matches the per-pair loop, within
+    """With one pair a slab, every build of two or more pairs deals its
+    blocks out to the workers; each distance still matches the per-pair
+    loop, within
     :data:`SVD_TOL` for 3-D shapes and bit for bit for planar ones, down to
     empty builds and query sets."""
     monkeypatch.setattr(geometry, "SLAB_PAIRS", 1)

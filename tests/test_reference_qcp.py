@@ -3,9 +3,11 @@ reference for :func:`shapegplm.geometry._qcp_distances`, and the accuracy of
 that kernel against the SVD loop of ``test_reference_geometry.py``.
 
 The reference runs one pair at a time over plain Python floats, in the
-kernel's order of operations, from the pair's ``zb^T za``. Every 3-D
-distance of a build, alone, in a row or on a forked worker, must equal it
-exactly; every one must lie within 1e-12 of the SVD loop (``SVD_TOL``).
+kernel's order of operations, from the pair's ``zb^T za``: the eigenvalue
+for every pair, and for a chord pair also the rotation from Horn's
+quaternion. Every 3-D distance of a build, alone, in a block or on a forked
+worker, must equal it exactly; every one must lie within 1e-12 of the SVD
+loop (``SVD_TOL``).
 """
 
 import math
@@ -21,7 +23,12 @@ from shapegplm import (
     preshape,
     procrustes_distance,
 )
-from shapegplm.geometry import _CHORD_SWITCH, _QCP_CONDITION, _qcp_distances
+from shapegplm.geometry import (
+    _CHORD_SWITCH,
+    _QCP_CONDITION,
+    _ROTATION_CONDITION,
+    _qcp_distances,
+)
 
 from conftest import assert_no_child_left, random_rotation
 from test_reference_geometry import (
@@ -45,10 +52,46 @@ def ieee_div(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
+OTHERS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+
+def ref_horn_rotation(c, s: float):
+    """The rotation of a chord pair from the null vector of Horn's ``K - sI``:
+    the 4-D cross product of three of its columns, the choice of largest
+    norm (the first of equals), or None when that norm is under
+    :data:`_ROTATION_CONDITION`."""
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+    a = [[c00 + c11 + c22 - s, c21 - c12, c02 - c20, c10 - c01],
+         [c21 - c12, c00 - c11 - c22 - s, c01 + c10, c02 + c20],
+         [c02 - c20, c01 + c10, c11 - c00 - c22 - s, c12 + c21],
+         [c10 - c01, c02 + c20, c12 + c21, c22 - c00 - c11 - s]]
+    crosses, norms = [], []
+    for column in range(4):
+        u, v, w = ([a[r][o] for r in range(4)] for o in OTHERS[column])
+        cross = []
+        for r, (i, j, k) in enumerate(OTHERS):
+            x = (u[i] * (v[j] * w[k] - v[k] * w[j]) - u[j] * (v[i] * w[k] - v[k] * w[i])
+                 + u[k] * (v[i] * w[j] - v[j] * w[i]))
+            cross.append(-x if r % 2 else x)
+        crosses.append(cross)
+        norms.append(math.sqrt(cross[0] * cross[0] + cross[1] * cross[1]
+                               + cross[2] * cross[2] + cross[3] * cross[3]))
+    best = int(np.argmax(norms))
+    if not norms[best] >= _ROTATION_CONDITION:
+        return None
+    q0, q1, q2, q3 = (x / norms[best] for x in crosses[best])
+    s0, s1, s2, s3 = q0 * q0, q1 * q1, q2 * q2, q3 * q3
+    return np.array([
+        [s0 + s1 - s2 - s3, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2)],
+        [2.0 * (q1 * q2 + q0 * q3), s0 - s1 + s2 - s3, 2.0 * (q2 * q3 - q0 * q1)],
+        [2.0 * (q1 * q3 - q0 * q2), 2.0 * (q2 * q3 + q0 * q1), s0 - s1 - s2 + s3]])
+
+
 def ref_qcp(z1, z2) -> tuple[str, float | None]:
-    """``("qcp", rho)`` for a pair the kernel measures by QCP, else the reason
-    it leaves the pair to the SVD: ``"non-finite"``, ``"steps"``,
-    ``"chord"`` or ``"condition"``."""
+    """``("qcp", rho)`` for a far pair the kernel measures by QCP, ``("chord",
+    rho)`` for a near one it measures by the chord after Horn's rotation,
+    else the reason it leaves the pair to the SVD: ``"non-finite"``,
+    ``"steps"``, ``"condition"`` or ``"rotation"``."""
     c = (z2.T @ z1).tolist()
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
     gram = [[c[0][i] * c[0][j] + c[1][i] * c[1][j] + c[2][i] * c[2][j]
@@ -72,8 +115,12 @@ def ref_qcp(z1, z2) -> tuple[str, float | None]:
         return "steps", None
     if not math.isfinite(s):
         return "non-finite", None
-    if not s <= _CHORD_SWITCH:
-        return "chord", None
+    if s > _CHORD_SWITCH:
+        rotation = ref_horn_rotation(c, s)
+        if rotation is None:
+            return "rotation", None
+        chord = 0.5 * np.linalg.norm(z1 - z2 @ rotation)
+        return "chord", float(2.0 * np.arcsin(min(chord, 1.0)))
     s2 = s * s
     sin = math.sqrt(1.0 - s2)
     slope = 4.0 * (s2 - norm2) * s - b
@@ -88,7 +135,7 @@ def ref_qcp_distance_pair(z1, z2) -> float:
     if np.array_equal(z1, z2):
         return 0.0
     reason, rho = ref_qcp(z1, z2)
-    return rho if reason == "qcp" else ref_distance_pair(z1, z2)
+    return rho if reason in ("qcp", "chord") else ref_distance_pair(z1, z2)
 
 
 # --- data ---------------------------------------------------------------------
@@ -117,6 +164,10 @@ def shape_set(name):
         configs = posed(configs, rng) + configs
     elif name == "collinear":
         configs = posed([collinear(rng, 10) for _ in range(24)], rng)
+    elif name == "near-collinear":
+        base = [collinear(rng, 10) + 1e-2 * rng.normal(size=(10, 3)) for _ in range(6)]
+        configs = posed(base + [x + 1e-7 * rng.normal(size=x.shape)
+                                for x in base for _ in range(2)], rng)
     elif name == "mirrored":
         base = [rng.normal(size=(12, 3)) for _ in range(12)]
         configs = posed(base + [x @ np.diag([1.0, 1.0, -1.0]) for x in base], rng)
@@ -133,8 +184,8 @@ def shape_set(name):
 
 
 SETS = ["random k7", "random k20", "random k50", "posed", "planar", "collinear",
-        "mirrored", "near-duplicate 1e-7", "near-duplicate 1e-4", "near-duplicate 3e-2",
-        "exact-duplicate"]
+        "near-collinear", "mirrored", "near-duplicate 1e-7", "near-duplicate 1e-4",
+        "near-duplicate 3e-2", "exact-duplicate"]
 
 
 def ref_rows(queries, points):
@@ -170,21 +221,24 @@ def test_macaque_matches_scalar_loop(macaque_bundle):
     assert np.array_equal(backend.pairwise_matrices(points)[0], ref)
 
 
-def test_forked_rows_match_scalar_loop(monkeypatch):
-    """Rows dealt out to two workers, one pair a slab, give the bits of the
-    scalar loop."""
+def test_forked_blocks_match_scalar_loop(monkeypatch):
+    """Blocks of seven pairs, cut across rows and dealt out to two workers,
+    give the bits of the scalar loop."""
     monkeypatch.setattr(geometry, "SLAB_PAIRS", 1)
     monkeypatch.setenv("SHAPEGPLM_THREADS", "2")
     forks, run = [], _workers.run
     monkeypatch.setattr(_workers, "run", lambda tasks, w: (
-        forks.append(min(w, len(tasks))) or run(tasks, w)))
-    for points in (synthetic_k20(), shape_set("collinear"), shape_set("random k7")):
+        forks.append((len(tasks), min(w, len(tasks)))) or run(tasks, w)))
+    for points in (synthetic_k20(), shape_set("collinear"), shape_set("random k7"),
+                   shape_set("near-collinear"), shape_set("near-duplicate 1e-7")):
+        monkeypatch.setattr(geometry, "BLOCK_VALUES", 7 * points[0].z.size)
         backend = KendallShapeBackend(k=points[0].k)
         ref, _ = ref_pairwise_matrices(backend, points, distance=ref_qcp_distance_pair)
         assert np.array_equal(backend.pairwise_matrices(points)[0], ref)
         assert np.array_equal(backend.cross_distances(points[1::3], points),
                               ref_rows(points[1::3], points))
-    assert forks and set(forks) == {2}
+    assert len(forks) == 10
+    assert all(tasks > len(points) // 7 and workers == 2 for tasks, workers in forks)
     assert_no_child_left()
 
 
@@ -226,7 +280,7 @@ def pair_kernel(points):
     """:func:`_qcp_distances` of every pair ``i < j`` of ``points``."""
     z = np.array([p.z for p in points])
     i, j = np.triu_indices(len(z), 1)
-    return _qcp_distances(np.matmul(z[j].transpose(0, 2, 1), z[i]))
+    return _qcp_distances(z[i], z[j])
 
 
 @pytest.mark.filterwarnings("error")
@@ -241,6 +295,40 @@ def test_collinear_pairs_fall_back_to_the_svd():
     backend = KendallShapeBackend(k=points[0].k)
     assert np.array_equal(backend.pairwise_matrices(points)[0],
                           ref_pairwise_matrices(backend, points)[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_collinear_chord_pairs_fall_back_to_the_svd():
+    """Near copies of nearly collinear shapes are chord pairs whose top root
+    nearly meets the next one, so Horn's quaternion is ill-conditioned: the
+    rotation test leaves such pairs to the SVD, which measures them bit for
+    bit as the SVD loop does, and no floating-point warning escapes."""
+    points = shape_set("near-collinear")
+    z = np.array([p.z for p in points])
+    i, j = np.triu_indices(len(z), 1)
+    why = [ref_qcp(z[a], z[b])[0] for a, b in zip(i, j)]
+    assert {"chord", "rotation"} <= set(why)
+    dist = KendallShapeBackend(k=10).pairwise_matrices(points)[0]
+    back = [k for k, reason in enumerate(why) if reason == "rotation"]
+    assert np.isnan(pair_kernel(points)[back]).all()
+    assert [dist[i[k], j[k]] for k in back] == [ref_distance_pair(z[i[k]], z[j[k]])
+                                                for k in back]
+
+
+def test_horn_rotations_are_the_svd_rotations():
+    """The rotation of every chord pair of the general and near-duplicate sets
+    is trusted and lies within 1e-12 of the SVD's, entry by entry."""
+    for name in ("posed", "near-duplicate 1e-7", "near-duplicate 1e-4",
+                 "near-duplicate 3e-2"):
+        z = np.array([p.z for p in shape_set(name)])
+        i, j = np.triu_indices(len(z), 1)
+        za, zb = z[i], z[j]
+        s, rotation = geometry._align(za, zb)
+        chord = (s > _CHORD_SWITCH) & np.any(za != zb, axis=(1, 2))
+        c = np.matmul(zb.transpose(0, 2, 1), za)[chord]
+        trusted, horn = geometry._horn_rotations(c.reshape(-1, 9).T, s[chord])
+        assert chord.sum() > 0 and trusted.all()
+        assert np.abs(horn - rotation[chord]).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -286,4 +374,4 @@ def test_stop_rule_accepts_ulp_stalls():
         z = np.array([preshape(rng.normal(size=(k, 3))).preshape.z for _ in range(1000)])
         assert [ref_qcp(z[i], z[i - 1])[0] for i in range(1000)] == ["qcp"] * 1000
         rest = np.roll(z, 1, axis=0)
-        assert not np.isnan(_qcp_distances(np.matmul(rest.transpose(0, 2, 1), z))).any()
+        assert not np.isnan(_qcp_distances(z, rest)).any()

@@ -9,12 +9,21 @@ from shapegplm import (
     KernelSpec,
     SmootherCache,
     SphereBackend,
-    kernel_weight,
     pelletier_estimate,
     smooth_all,
 )
 
+from shapegplm.smoothing import _log_weights
+
 from conftest import sphere_points
+
+
+def kernel_weight(d: float, spec: KernelSpec) -> float:
+    """Unnormalised Gaussian kernel value ``exp(-d^2 / (2 h^2))``, from the
+    log weights every smoother takes."""
+    if d < 0:
+        raise InvalidArgumentError(f"distance must be nonnegative, got {d}")
+    return float(np.exp(_log_weights(d, 0.0, spec)))
 
 
 @pytest.fixture()

@@ -308,16 +308,19 @@ def test_macaque_and_small_builds_stay_serial(mixed_manifest, tmp_path, monkeypa
     assert_no_child_left()
 
 
-# --- distance rows -----------------------------------------------------------------
+# --- distance blocks ---------------------------------------------------------------
 
-def test_each_distance_row_is_one_task(monkeypatch):
-    """A build hands :func:`_workers.run` one task per row, which decides alone
-    where each row runs, and its rows at two workers are the serial bits."""
+def test_each_distance_block_is_one_task(monkeypatch):
+    """A build hands :func:`_workers.run` one task per block of
+    :data:`geometry.BLOCK_VALUES` preshape values, cut across rows, which
+    decides alone where each block runs, and its blocks at two workers are
+    the serial bits."""
     rng = np.random.default_rng(5)
     points = [geometry.preshape(rng.normal(size=(7, 3))).preshape for _ in range(12)]
     queries = [geometry.preshape(rng.normal(size=(7, 3))).preshape for _ in range(5)]
     backend = geometry.KendallShapeBackend(k=7)
     monkeypatch.setattr(geometry, "SLAB_PAIRS", 1)
+    monkeypatch.setattr(geometry, "BLOCK_VALUES", 5 * 6 * 3)   # five pairs
     calls = record_runs(monkeypatch)
     built = {}
     for setting in ("1", "2"):
@@ -325,7 +328,8 @@ def test_each_distance_row_is_one_task(monkeypatch):
         calls.clear()
         built[setting] = (*backend.pairwise_matrices(points),
                           backend.cross_distances(queries, points))
-        assert calls == [(11, int(setting)), (5, int(setting))]
+        # 66 pairs in 14 blocks, then 60 query pairs in 12
+        assert calls == [(14, int(setting)), (12, int(setting))]
     assert all(np.array_equal(forked, serial)
                for forked, serial in zip(built["2"], built["1"]))
     assert_no_child_left()
