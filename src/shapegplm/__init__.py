@@ -26,7 +26,6 @@ from .geometry import (
     PreShape,
     ShapeSample,
     SphereBackend,
-    centroid_size,
     density_exponent,
     helmert_submatrix,
     log_density_from_distance,

@@ -144,12 +144,6 @@ def _cumlogit_nll_grad_hess(theta, y_idx, x, K):
     return nll, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
-def _cumlogit_nll_grad(theta, y_idx, x, K):
-    """Negative log-likelihood and gradient of the proportional-odds model."""
-    nll, grad, _ = _cumlogit_nll_grad_hess(theta, y_idx, x, K)
-    return nll, grad
-
-
 def _newton(ys, xs, max_iter: int = 200, grad_tol: float = 1e-9) -> list:
     """Proportional-odds maximum likelihood fits of a stack of problems.
 

@@ -116,7 +116,8 @@ def _build_parser() -> _Parser:
     p_pred.add_argument("--input", required=True, help="manifest of query rows")
     p_pred.add_argument("--out", default=".", help="output directory")
     p_pred.add_argument("--no-cache", action="store_true",
-                        help="no effect: predict reads no distance cache")
+                        help="parse the training landmark files and read no "
+                             "distance cache")
 
     p_dist = sub.add_parser("distances", help="dump the cached distance matrix")
     common(p_dist)
@@ -195,7 +196,7 @@ def _cmd_predict(args) -> int:
               file=sys.stderr)
         return USAGE_EXIT
     # the training preshapes, design and hash suffice: no pairwise matrix
-    train = dio.read_dataset(state["manifest"])
+    train = dio.read_dataset(state["manifest"], use_disk_cache=not args.no_cache)
     if dio.provenance_hash(train) != state["provenance_hash"]:
         raise InputFileError(
             f"training data of {state['manifest']} changed since {args.fit} "

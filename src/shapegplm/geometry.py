@@ -37,8 +37,8 @@ __all__ = [
     "PreShape",
     "ShapeSample",
     "helmert_submatrix",
-    "centroid_size",
     "preshape",
+    "preshape_stack",
     "procrustes_distance",
     "density_exponent",
     "log_density_from_distance",
@@ -125,53 +125,46 @@ def _shared_helmert(k: int) -> NDArray[np.floating]:
     return H
 
 
-def _as_configuration(x) -> NDArray[np.floating]:
+def preshape(x) -> ShapeSample:
+    """Remove location and scale from a configuration.
+
+    Returns the unit-norm Helmertized matrix together with the centroid size.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InvalidArgumentError(
             f"configuration must be a k x m matrix with k >= 2, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("configuration contains non-finite entries")
-    return x
-
-
-def _coincident(size: float, x: NDArray) -> bool:
-    """Whether the centred size of ``x`` is rounding noise of its coordinates.
-
-    Centring landmarks that all coincide at ``c`` leaves noise of order
-    ``eps |c|`` per coordinate rather than exact zeros; the bound scales with
-    the coordinates, so a configuration counts as one point anywhere in space
-    while a genuine shape at any scale passes.
-    """
-    return size <= x.size * _EPS * np.abs(x).max()
-
-
-def centroid_size(x) -> float:
-    """Frobenius norm of the centered configuration.
-
-    Equals ``||H x||`` for the Helmert submatrix ``H``; invariant under
-    translation.
-    """
-    x = _as_configuration(x)
-    size = float(np.linalg.norm(x - x.mean(axis=0)))
-    if _coincident(size, x):
-        raise DegenerateConfigurationError(
-            "all landmarks coincide; centroid size is zero")
-    return size
-
-
-def preshape(x) -> ShapeSample:
-    """Remove location and scale from a configuration.
-
-    Returns the unit-norm Helmertized matrix together with the centroid size.
-    """
-    x = _as_configuration(x)
-    xh = _shared_helmert(x.shape[0]) @ x
-    size = float(np.linalg.norm(xh))
-    if _coincident(size, x):
+    z, size, has_shape = preshape_stack(x[None])
+    if not has_shape[0]:
         raise DegenerateConfigurationError(
             "all landmarks coincide; configuration has no shape")
-    return ShapeSample(preshape=PreShape(xh / size), size=size)
+    return ShapeSample(preshape=PreShape(z[0]), size=float(size[0]))
+
+
+def preshape_stack(x: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """:func:`preshape` of each configuration of an ``(n, k, m)`` stack, in
+    one array pass with the bits of one configuration alone.
+
+    Returns the ``(n, k-1, m)`` preshapes, the ``n`` centroid sizes and, for
+    each configuration, whether it has a shape: finite coordinates, and a
+    centred size above the rounding noise of its coordinates. The entries of
+    one without a shape are meaningless. The Helmert product is one matrix
+    product per configuration and each size a ``dot`` of the row with itself,
+    as ``np.linalg.norm`` takes it, then a square root.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):   # for those without
+        xh = _shared_helmert(x.shape[1]) @ x
+        row = xh.reshape(len(x), 1, -1)
+        size = np.sqrt(row @ row.transpose(0, 2, 1)).reshape(len(x))
+        # centring landmarks that all coincide at c leaves noise of order
+        # eps |c| per coordinate rather than exact zeros; the bound scales
+        # with the coordinates, so a configuration counts as one point
+        # anywhere in space while a genuine shape at any scale passes
+        noise = x.shape[1] * x.shape[2] * _EPS * np.abs(x).max(axis=(1, 2), initial=0.0)
+        has_shape = np.isfinite(x).all(axis=(1, 2)) & (size > noise)
+        return xh / size[:, None, None], size, has_shape
 
 
 _CHORD_SWITCH = 0.999  # cos(rho) above which the chord evaluation takes over

@@ -9,15 +9,19 @@ optional ``subject`` column grouping rows that belong to one individual
 are directives or comments; ``# response_type: binary|ordinal3|continuous``
 overrides the inferred response kind.
 
-The pairwise distance and log-density matrices are cached on disk as a
-``.npz`` file keyed by a content hash of the preshapes, so unchanged data is
-never re-measured, and invalidation follows content, never timestamps. The
-file also names the distance evaluation that wrote it
-(:data:`shapegplm.geometry.DISTANCE_KERNEL`). It is written through a
-temporary file and renamed into place; one that is missing, cannot be read
-back or names another evaluation counts as a miss and is rebuilt.
-:func:`ingest` counts each build it makes
-(:data:`shapegplm.geometry.MATRIX_BUILD_COUNTS`).
+Each dataset has one distance-cache ``.npz`` file, named after the
+manifest's path. It holds the preshapes and centroid sizes, the content hash,
+and the pairwise distance and log-density matrices, together with a SHA-256
+digest of the raw input bytes: the manifest and every landmark file it names,
+in order. A command that finds the digest of the bytes it read reuses the
+stored preshapes and parses no landmark file; invalidation follows content,
+never timestamps. The file also names the distance evaluation that wrote it
+(:data:`shapegplm.geometry.DISTANCE_KERNEL`); one of another evaluation keeps
+its preshapes and has only its matrices rebuilt. The file is written through
+a temporary file and renamed into place; one that is missing, cannot be read
+back, was written for other bytes or holds an array that fails a check
+counts as a miss and is rebuilt. :func:`ingest` counts each matrix build it
+makes (:data:`shapegplm.geometry.MATRIX_BUILD_COUNTS`).
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .geometry import (
     DISTANCE_KERNEL,
     MATRIX_BUILD_COUNTS,
     KendallShapeBackend,
+    PreShape,
     ShapeSample,
     preshape,
+    preshape_stack,
 )
 from .models import GplmFit
 from .smoothing import SmootherCache
@@ -51,26 +57,37 @@ __all__ = ["read_landmarks", "write_landmarks", "DatasetBundle", "read_dataset",
            "write_cv_csv"]
 
 
-def _read_text(path: Path, what: str) -> str:
-    """The text of an input file, decoded as UTF-8 with or without a
-    byte-order mark; an unreadable one raises ``OSError`` and one that is not
-    text raises :class:`InputFileError`, both naming the file."""
+def _read_bytes(path: Path, what: str) -> bytes:
+    """The bytes of an input file; an unreadable one raises ``OSError``
+    naming the file."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return path.read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_text(path: Path, what: str, data: bytes | None = None) -> str:
+    """The text of an input file, or of ``data``, its bytes when they are
+    already read, decoded as UTF-8 with or without a byte-order mark; an
+    unreadable file raises ``OSError`` and one that is not text raises
+    :class:`InputFileError`, both naming the file."""
+    if data is None:
+        data = _read_bytes(path, what)
+    try:
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{what} {path} is not text: {exc}") from exc
 
 
-def read_landmarks(path) -> NDArray[np.floating]:
-    """Read one ``k x m`` configuration from a landmark text file.
+def read_landmarks(path, data: bytes | None = None) -> NDArray[np.floating]:
+    """Read one ``k x m`` configuration from a landmark text file, or from
+    ``data``, the file's bytes when they are already read.
 
     The tokens are converted in one numpy call, which parses each the way
     ``float()`` does (underscores, non-ASCII digits, ``nan`` and ``inf``).
     """
     path = Path(path)
-    lines = [ln for ln in _read_text(path, "landmark file").splitlines()
+    lines = [ln for ln in _read_text(path, "landmark file", data).splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     try:
         k, m = (int(tok) for tok in lines[0].split())
@@ -105,16 +122,16 @@ def _infer_response_type(values: NDArray) -> str:
     return "continuous"
 
 
-def read_manifest(path) -> tuple[dict, list[Path]]:
-    """The columns of a manifest, as the keyword arguments of a
-    :class:`DatasetBundle` (``ids``, ``subjects``, ``y``, ``x``,
-    ``covariate_names`` and ``response_type``), and each row's landmark file,
-    resolved against the manifest's directory. A column named twice is
-    rejected."""
+def read_manifest(path, data: bytes) -> tuple[dict, list[Path]]:
+    """The columns of a manifest, read from ``data``, its bytes, as the
+    keyword arguments of a :class:`DatasetBundle` (``ids``, ``subjects``,
+    ``y``, ``x``, ``covariate_names`` and ``response_type``), and each row's
+    landmark file, resolved against the manifest's directory. A column named
+    twice is rejected."""
     path = Path(path)
     declared = None
     rows = []
-    for ln in _read_text(path, "manifest").splitlines():
+    for ln in _read_text(path, "manifest", data).splitlines():
         stripped = ln.strip()
         if not stripped:
             continue
@@ -195,13 +212,12 @@ class DatasetBundle:
                          if isinstance(s, ShapeSample)])
 
 
-def _content_hash(samples: list[ShapeSample], ids: list[str],
-                  backend_desc: str) -> str:
+def _content_hash(z: NDArray, ids: list[str], backend_desc: str) -> str:
     digest = hashlib.sha256()
     digest.update(backend_desc.encode())
-    for rid, s in zip(ids, samples):
+    for rid, zi in zip(ids, z):
         digest.update(rid.encode())
-        digest.update(np.ascontiguousarray(s.preshape.z).tobytes())
+        digest.update(zi.tobytes())
     return digest.hexdigest()
 
 
@@ -210,8 +226,7 @@ def provenance_hash(bundle: DatasetBundle) -> str:
 
     Covers the content hash (ids, preshapes, backend) together with the
     response, the covariates, their names and the response type, which
-    ``predict`` reuses from the training manifest. The distance cache stays
-    keyed by the content hash alone.
+    ``predict`` reuses from the training manifest.
     """
     digest = hashlib.sha256(bundle.content_hash.encode())
     digest.update(json.dumps([list(bundle.covariate_names), bundle.response_type,
@@ -239,66 +254,143 @@ def _write_atomically(path: Path, data: bytes | None = None, **arrays) -> None:
         raise
 
 
-def read_dataset(manifest_path) -> DatasetBundle:
+# the first bytes hashed into every cache digest: a file written in another
+# layout is never read as this one
+_CACHE_FORMAT = b"shapegplm distance cache 2"
+
+
+def _input_digest(blobs: list[bytes]) -> str:
+    """SHA-256 of the format tag and of each input file's bytes, each after
+    its length, so no two file lists give one byte stream."""
+    digest = hashlib.sha256(_CACHE_FORMAT)
+    for data in blobs:
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _samples(z: NDArray, size: NDArray) -> list[ShapeSample]:
+    """One sample per preshape of the stack ``z``; one that is not finite and
+    of unit norm, or a size that is not finite and positive, raises
+    :class:`InvalidArgumentError`."""
+    return [ShapeSample(preshape=PreShape(zi), size=float(si)) for zi, si in zip(z, size)]
+
+
+def _read_cache(cache_file: Path, digest: str, n: int, matrices: bool) -> dict:
+    """What a cache file written for the input bytes of ``digest`` holds for
+    ``n`` records: the preshape stack ``z``, the sizes ``size``, their
+    ``samples`` and the ``content_hash``; with ``matrices``, also the pairwise
+    matrices as ``cache`` when :data:`DISTANCE_KERNEL` measured them. Empty
+    when the file is missing, unreadable or written for other bytes, or when a
+    stored array fails a check."""
+    try:
+        with open(cache_file, "rb") as fh, np.load(fh) as stored:
+            if str(stored["digest"]) != digest:
+                return {}
+            z, size = stored["z"], stored["size"]
+            if z.ndim != 3 or len(z) != n or size.shape != (n,):
+                return {}
+            found = dict(z=z, size=size, samples=_samples(z, size),
+                         content_hash=str(stored["content_hash"]))
+            if matrices and str(stored["kernel"]) == DISTANCE_KERNEL:
+                cache = SmootherCache(dist=stored["dist"], logdens=stored["logdens"])
+                if cache.n == n:
+                    found["cache"] = cache
+            return found
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return {}
+
+
+def _preshape_records(manifest_path, ids: list[str], paths: list[Path],
+                      configs: list[NDArray]) -> tuple[NDArray, NDArray]:
+    """The preshapes and sizes of every record in one pass; the first record,
+    in manifest order, whose ``(k, m)`` is not the first record's or that has
+    no shape is rejected naming it."""
+    dims = configs[0].shape
+    same = next((i for i, c in enumerate(configs) if c.shape != dims), len(configs))
+    z, size, has_shape = preshape_stack(np.array(configs[:same]))
+    bad = next(iter(np.flatnonzero(~has_shape)), same)
+    if bad == same < len(configs):
+        raise InputFileError(
+            f"record {ids[bad]!r} of manifest {manifest_path} has landmark "
+            f"dimensions {configs[bad].shape}, expected {dims}")
+    if bad < same:
+        try:
+            preshape(configs[bad])   # raises as for this file alone
+        except InvalidArgumentError as exc:   # coincident or non-finite landmarks
+            raise InputFileError(f"landmark file {paths[bad]}: {exc}") from exc
+    return z, size
+
+
+def _load(manifest_path, use_disk_cache: bool, cache_dir, build: bool) -> DatasetBundle:
+    """The bundle of :func:`read_dataset`, and with ``build`` its pairwise
+    matrices as in :func:`ingest`. Each input file is read once, and the bytes
+    hashed are the bytes parsed."""
+    path = Path(manifest_path)
+    manifest_bytes = _read_bytes(path, "manifest")
+    columns, paths = read_manifest(path, manifest_bytes)
+    blobs = [_read_bytes(fpath, "landmark file") for fpath in paths]
+    found = {}
+    if use_disk_cache:
+        digest = _input_digest([manifest_bytes, *blobs])
+        # one file per manifest, named after its absolute path
+        name = hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()[:16]
+        cdir = Path(cache_dir) if cache_dir else path.parent / ".shapegplm-cache"
+        cache_file = cdir / f"distances-{name}.npz"
+        found = _read_cache(cache_file, digest, len(paths), matrices=build)
+    if found:
+        z, size, samples = found["z"], found["size"], found["samples"]
+    else:
+        configs = [read_landmarks(fpath, data) for fpath, data in zip(paths, blobs)]
+        z, size = _preshape_records(manifest_path, columns["ids"], paths, configs)
+        samples = _samples(z, size)
+        del configs
+    del manifest_bytes, blobs   # freed before the matrix build
+    backend = KendallShapeBackend(k=z.shape[1] + 1, m=z.shape[2])
+    content = found.get("content_hash") or _content_hash(z, columns["ids"],
+                                                         backend.description)
+    bundle = DatasetBundle(**columns, samples=samples, backend=backend,
+                           cache=found.get("cache"), content_hash=content)
+    if build and bundle.cache is None:
+        MATRIX_BUILD_COUNTS[content] = MATRIX_BUILD_COUNTS.get(content, 0) + 1
+        bundle.cache = SmootherCache.from_points(bundle.shapes, backend)
+        if use_disk_cache:
+            _write_atomically(cache_file, digest=np.asarray(digest),
+                              content_hash=np.asarray(content),
+                              kernel=np.asarray(DISTANCE_KERNEL), z=z, size=size,
+                              dist=bundle.cache.dist, logdens=bundle.cache.logdens)
+    return bundle
+
+
+def read_dataset(manifest_path, use_disk_cache: bool = False) -> DatasetBundle:
     """Read a manifest and its landmark files into a :class:`DatasetBundle`
     without pairwise matrices (``cache`` is ``None``).
+
+    With ``use_disk_cache``, the preshapes come from the dataset's distance
+    cache (see :func:`ingest`) when it was written for the same input bytes,
+    and no landmark file is parsed; the cache is only read, never written.
 
     All configurations must share one ``(k, m)``; a mismatch is rejected
     naming the offending record, and a configuration whose landmarks coincide
     or hold a non-finite coordinate naming its file.
     """
-    columns, paths = read_manifest(manifest_path)
-    configs = [read_landmarks(fpath) for fpath in paths]
-    k, m = configs[0].shape
-    samples = []
-    for rid, fpath, cfg in zip(columns["ids"], paths, configs):
-        if cfg.shape != (k, m):
-            raise InputFileError(
-                f"record {rid!r} of manifest {manifest_path} has landmark "
-                f"dimensions {cfg.shape}, expected {(k, m)}")
-        try:
-            samples.append(preshape(cfg))
-        except InvalidArgumentError as exc:   # coincident or non-finite landmarks
-            raise InputFileError(f"landmark file {fpath}: {exc}") from exc
-    backend = KendallShapeBackend(k=k, m=m)
-    return DatasetBundle(**columns, samples=samples, backend=backend, cache=None,
-                         content_hash=_content_hash(samples, columns["ids"],
-                                                    backend.description))
+    return _load(manifest_path, use_disk_cache, None, build=False)
 
 
 def ingest(manifest_path, use_disk_cache: bool = True,
            cache_dir=None) -> DatasetBundle:
     """Load a manifest into a :class:`DatasetBundle` with its pairwise cache.
 
-    The manifest and landmarks are read by :func:`read_dataset`. The pairwise
-    matrices are loaded from the content-keyed disk cache when present,
-    otherwise computed once, counted in
+    The preshapes and pairwise matrices are loaded from the dataset's disk
+    cache when it was written for the same input bytes. Otherwise the
+    landmark files are parsed from the bytes that were hashed and preshaped
+    in one pass, and the matrices, or only they when the cache names another
+    distance evaluation, are computed once, counted in
     :data:`shapegplm.geometry.MATRIX_BUILD_COUNTS` under the content hash,
-    and saved.
+    and saved with the preshapes. Without ``use_disk_cache``, nothing is
+    hashed but the content, and no cache file is read or written.
     """
-    bundle = read_dataset(manifest_path)
-    content = bundle.content_hash
-    cache = None
-    if use_disk_cache:
-        cdir = Path(cache_dir) if cache_dir else Path(manifest_path).parent / ".shapegplm-cache"
-        cache_file = cdir / f"distances-{content[:16]}.npz"
-        try:
-            with np.load(cache_file) as stored:
-                if (str(stored["content_hash"]) == content
-                        and str(stored["kernel"]) == DISTANCE_KERNEL):
-                    cache = SmootherCache(dist=stored["dist"],
-                                          logdens=stored["logdens"])
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            cache = None  # missing, truncated, corrupt or stale: rebuild and overwrite
-    if cache is None:
-        MATRIX_BUILD_COUNTS[content] = MATRIX_BUILD_COUNTS.get(content, 0) + 1
-        cache = SmootherCache.from_points(bundle.shapes, bundle.backend)
-        if use_disk_cache:
-            _write_atomically(cache_file, dist=cache.dist, logdens=cache.logdens,
-                              content_hash=np.asarray(content),
-                              kernel=np.asarray(DISTANCE_KERNEL))
-    bundle.cache = cache
-    return bundle
+    return _load(manifest_path, use_disk_cache, cache_dir, build=True)
 
 
 @dataclass(frozen=True)
@@ -436,9 +528,3 @@ def _write_cv_detail(writer, report) -> None:
                          p.true_label, p.predicted,
                          " ".join(format(v, ".8f") for v in p.probs)])
 
-
-def read_csv_body(path) -> list[dict]:
-    """Rows of a report CSV, skipping the ``#`` preamble."""
-    lines = [ln for ln in Path(path).read_text().splitlines()
-             if ln and not ln.startswith("#")]
-    return list(csv.DictReader(lines))

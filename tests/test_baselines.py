@@ -13,7 +13,7 @@ from shapegplm import (
     procrustes_mean,
     tangent_pca,
 )
-from shapegplm.baselines import _cumlogit_nll_grad
+from shapegplm.baselines import _cumlogit_nll_grad_hess
 from shapegplm.io import DatasetBundle
 from shapegplm.smoothing import SmootherCache
 
@@ -110,13 +110,13 @@ class TestCumulativeLogit:
         y = np.where(u < g1, 1, np.where(u < g2, 2, 3))
         alpha, beta = fit_cumulative_logit(y, x)
         theta = np.concatenate([alpha, beta])
-        nll, grad = _cumlogit_nll_grad(theta, y - 1, x, 3)
+        nll, grad, _ = _cumlogit_nll_grad_hess(theta, y - 1, x, 3)
         assert np.linalg.norm(grad) < 1e-6 * n
         for _ in range(100):
             cand = theta + rng.normal(0, 0.05, theta.shape)
             if cand[0] >= cand[1]:
                 continue
-            cand_nll, _ = _cumlogit_nll_grad(cand, y - 1, x, 3)
+            cand_nll, _, _ = _cumlogit_nll_grad_hess(cand, y - 1, x, 3)
             assert nll <= cand_nll + 1e-9
 
     def test_alpha_strictly_increasing(self, rng):

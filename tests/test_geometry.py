@@ -10,7 +10,6 @@ from shapegplm import (
     OutOfChartError,
     PreShape,
     SphereBackend,
-    centroid_size,
     density_exponent,
     helmert_submatrix,
     log_density_from_distance,
@@ -21,6 +20,13 @@ from shapegplm import (
 )
 
 from conftest import random_configuration, random_preshape, random_rotation
+
+
+def centroid_size(x) -> float:
+    """Frobenius norm of the configuration centred at its mean: the size that
+    :func:`preshape` scales away, by another route than its Helmert product."""
+    x = np.asarray(x, dtype=float)
+    return float(np.linalg.norm(x - x.mean(axis=0)))
 
 
 def log_volume_density(a: PreShape, b: PreShape) -> float:
@@ -75,8 +81,6 @@ class TestCentroidSizeAndPreshape:
 
     def test_degenerate_configuration(self):
         with pytest.raises(DegenerateConfigurationError):
-            centroid_size(np.ones((4, 3)))
-        with pytest.raises(DegenerateConfigurationError):
             preshape(np.ones((4, 3)))
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -85,8 +89,6 @@ class TestCentroidSizeAndPreshape:
         # rounding noise rather than zero
         x = np.ones((7, 3)) + offset
         assert 0.0 < np.linalg.norm(helmert_submatrix(7) @ x) < 1e-8
-        with pytest.raises(DegenerateConfigurationError):
-            centroid_size(x)
         with pytest.raises(DegenerateConfigurationError):
             preshape(x)
 

@@ -31,6 +31,13 @@ from shapegplm.io import load_model_state
 from conftest import MACAQUE_MANIFEST, REPO_ROOT, random_configuration
 
 
+def read_csv_body(path) -> list[dict]:
+    """Rows of a report CSV, skipping the ``#`` preamble."""
+    lines = [ln for ln in Path(path).read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
 class TestLandmarkFiles:
     def test_round_trip(self, rng, tmp_path):
         coords = random_configuration(rng, k=9, m=3)
@@ -149,6 +156,144 @@ class TestIngest:
         with np.load(cache_file) as stored:
             assert str(stored["kernel"]) == DISTANCE_KERNEL
 
+    def test_hit_gives_the_parsed_bundle(self, rng, tmp_path):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        parsed = ingest(manifest, use_disk_cache=False)
+        ingest(manifest)   # writes the cache
+        for hit in (ingest(manifest), dio.read_dataset(manifest, use_disk_cache=True)):
+            for got, want in zip(hit.samples, parsed.samples, strict=True):
+                assert np.array_equal(got.preshape.z, want.preshape.z)
+                assert got.size == want.size
+            assert hit.ids == parsed.ids
+            assert hit.content_hash == parsed.content_hash
+            assert dio.provenance_hash(hit) == dio.provenance_hash(parsed)
+
+    @pytest.mark.parametrize("use_disk_cache", [True, False])
+    def test_each_input_file_is_read_once(self, rng, tmp_path, monkeypatch,
+                                          use_disk_cache):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=5)
+        reads, parsed = [], []
+        read_bytes, read_landmarks = dio._read_bytes, dio.read_landmarks
+        monkeypatch.setattr(dio, "_read_bytes",
+                            lambda path, what: reads.append(path) or read_bytes(path, what))
+        monkeypatch.setattr(dio, "read_landmarks",
+                            lambda path, data=None: parsed.append(data) or read_landmarks(path, data))
+        ingest(manifest, use_disk_cache=use_disk_cache)
+        files = [manifest] + [manifest.parent / f"t{i}.txt" for i in range(5)]
+        assert reads == files
+        assert parsed == [path.read_bytes() for path in files[1:]]
+
+    def test_without_the_disk_cache_nothing_is_hashed_or_stored(self, rng, tmp_path,
+                                                                monkeypatch):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds")
+
+        def no_digest(blobs):
+            raise AssertionError("hashed the input bytes without a disk cache")
+
+        monkeypatch.setattr(dio, "_input_digest", no_digest)
+        ingest(manifest, use_disk_cache=False)
+        dio.read_dataset(manifest)
+        assert not (tmp_path / "ds" / ".shapegplm-cache").exists()
+
+    def test_warm_fit_parses_and_preshapes_nothing(self, rng, tmp_path, monkeypatch):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=8)
+        fit = ["fit", "--manifest", str(manifest), "--model", "logistic", "--h", "0.3"]
+        assert main([*fit, "--out", str(tmp_path / "cold")]) == 0
+        calls = []
+        for name in ("read_landmarks", "preshape", "preshape_stack"):
+            monkeypatch.setattr(dio, name, lambda *a, name=name, **k: calls.append(name))
+        assert main([*fit, "--out", str(tmp_path / "warm")]) == 0
+        assert calls == []
+        assert ((tmp_path / "warm" / "fit_state.json").read_bytes()
+                == (tmp_path / "cold" / "fit_state.json").read_bytes())
+
+    @pytest.mark.parametrize("edit", ["manifest byte", "landmark byte", "landmark comment",
+                                      "row count", "norm", "no digest"])
+    def test_edited_input_or_bad_stored_array_is_a_miss(self, rng, tmp_path, edit):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        first = ingest(manifest)
+        (cache_file,) = (tmp_path / "ds" / ".shapegplm-cache").glob("*")
+        with np.load(cache_file) as stored:
+            arrays = dict(stored)
+        landmarks = manifest.parent / "t4.txt"
+        if edit == "manifest byte":   # the last covariate digit of row t1
+            text = manifest.read_bytes()
+            end = text.index(b"\n", text.index(b"t1,t1.txt")) - 1
+            manifest.write_bytes(text[:end] + (b"1" if text[end:end + 1] != b"1" else b"2")
+                                 + text[end + 1:])
+        elif edit == "landmark byte":   # the first decimal of the first coordinate
+            text = landmarks.read_bytes()
+            at = text.index(b".") + 1
+            landmarks.write_bytes(text[:at] + (b"1" if text[at:at + 1] != b"1" else b"2")
+                                  + text[at + 1:])
+        elif edit == "landmark comment":   # the same preshapes, other bytes
+            landmarks.write_bytes(b"# scanned twice\n" + landmarks.read_bytes())
+        else:
+            if edit == "row count":
+                arrays["z"], arrays["size"] = arrays["z"][:-1], arrays["size"][:-1]
+            elif edit == "norm":
+                arrays["z"] = arrays["z"] * (1 + 1e-9)
+            else:
+                del arrays["digest"]
+            with open(cache_file, "wb") as fh:
+                np.savez(fh, **arrays)
+        parsed = ingest(manifest, use_disk_cache=False)
+        builds = MATRIX_BUILD_COUNTS[parsed.content_hash]
+        bundle = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[parsed.content_hash] == builds + 1
+        assert bundle.content_hash == parsed.content_hash
+        # a covariate and a comment are no part of the content
+        assert (bundle.content_hash == first.content_hash) == (edit != "landmark byte")
+        assert list(cache_file.parent.iterdir()) == [cache_file]
+        with np.load(cache_file) as stored:
+            assert str(stored["content_hash"]) == parsed.content_hash
+            assert np.array_equal(stored["z"], np.array([s.z for s in parsed.shapes]))
+            np.testing.assert_array_equal(stored["dist"], bundle.cache.dist)
+        hit = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[parsed.content_hash] == builds + 1
+        assert np.array_equal(hit.cache.dist, bundle.cache.dist)
+
+    def test_cache_of_another_kernel_keeps_its_preshapes(self, rng, tmp_path, monkeypatch):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        bundle = ingest(manifest)
+        (cache_file,) = (tmp_path / "ds" / ".shapegplm-cache").glob("*")
+        with np.load(cache_file) as stored:
+            arrays = dict(stored, kernel=np.asarray("svd"), dist=0.5 * stored["dist"])
+        with open(cache_file, "wb") as fh:
+            np.savez(fh, **arrays)
+        monkeypatch.setattr(dio, "read_landmarks", None)   # a parse would fail
+        builds = MATRIX_BUILD_COUNTS[bundle.content_hash]
+        rebuilt = ingest(manifest)
+        assert MATRIX_BUILD_COUNTS[bundle.content_hash] == builds + 1
+        assert np.array_equal(rebuilt.cache.dist, bundle.cache.dist)
+        with np.load(cache_file) as stored:
+            assert str(stored["kernel"]) == DISTANCE_KERNEL
+            assert np.array_equal(stored["dist"], bundle.cache.dist)
+
+    @pytest.mark.parametrize("first, second", [
+        ("coincident", "wrong shape"), ("non-finite", "coincident"),
+        ("wrong shape", "non-finite"), ("non-finite", "wrong shape")])
+    def test_first_bad_record_in_manifest_order_is_named(self, rng, tmp_path, capsys,
+                                                         first, second):
+        manifest = write_tiny_dataset(rng, tmp_path / "ds", n=7)
+        damage = {"coincident": np.full((5, 3), 2.5),
+                  "non-finite": np.where(np.eye(5, 3) > 0, np.inf,
+                                         random_configuration(rng, k=5)),
+                  "wrong shape": random_configuration(rng, k=6)}
+        for name, kind in (("t2.txt", first), ("t5.txt", second)):
+            write_landmarks(manifest.parent / name, damage[kind])
+        bad = manifest.parent / "t2.txt"
+        message = {"coincident": f"landmark file {bad}: all landmarks coincide; "
+                                 "configuration has no shape",
+                   "non-finite": f"landmark file {bad}: configuration contains "
+                                 "non-finite entries",
+                   "wrong shape": f"record 't2' of manifest {manifest} has landmark "
+                                  "dimensions (6, 3), expected (5, 3)"}[first]
+        assert main(["distances", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"shapegplm distances: {message}\n"
+        assert not (tmp_path / "ds" / ".shapegplm-cache").exists()
+
     def test_dimension_mismatch_names_offender(self, rng, tmp_path):
         root = tmp_path / "ds"
         manifest = write_tiny_dataset(rng, root)
@@ -213,7 +358,6 @@ class TestCli:
         assert code == 0
         text = (out / "cv_report.csv").read_text()
         assert "# command = cv" in text and "# dataset_hash = " in text
-        from shapegplm.io import read_csv_body
         rows = read_csv_body(out / "cv_report.csv")
         assert len(rows) == 3
         assert {float(r["h"]) for r in rows} == {np.pi / 50, np.pi / 100, np.pi / 120}
@@ -292,6 +436,29 @@ class TestCli:
         assert not (query.parent / ".shapegplm-cache").exists()
         lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == [f"t{i}" for i in range(5)]
+
+    @pytest.mark.parametrize("no_cache", [False, True])
+    def test_predict_parses_the_training_files_only_without_the_cache(
+            self, rng, tmp_path, monkeypatch, no_cache):
+        train = write_tiny_dataset(rng, tmp_path / "train", n=8)
+        query = write_tiny_dataset(rng, tmp_path / "query", n=5)
+        out = tmp_path / "fit"
+        assert main(["fit", "--manifest", str(train), "--model", "logistic",
+                     "--h", "0.3", "--out", str(out)]) == 0
+        cache_dir = train.parent / ".shapegplm-cache"
+        stored = {path: path.read_bytes() for path in cache_dir.iterdir()}
+        parsed = []
+        read_landmarks = dio.read_landmarks
+        monkeypatch.setattr(dio, "read_landmarks",
+                            lambda path, data=None: parsed.append(path.parent)
+                            or read_landmarks(path, data))
+        argv = ["predict", "--fit", str(out / "fit_state.json"), "--input", str(query),
+                "--out", str(tmp_path / "p")]
+        assert main(argv + ["--no-cache"] * no_cache) == 0
+        assert parsed.count(train.parent) == (8 if no_cache else 0)
+        assert parsed.count(query.parent) == 5
+        assert {path: path.read_bytes() for path in cache_dir.iterdir()} == stored
+        assert not (query.parent / ".shapegplm-cache").exists()
 
     @pytest.mark.parametrize("query", ["reordered covariates", "extra covariate",
                                        "renamed covariate", "other k"])

@@ -11,7 +11,7 @@ import pytest
 
 import shapegplm.baselines as baselines
 from shapegplm import baseline_loocv, fit_cumulative_logit, predict_cumulative_logit
-from shapegplm.baselines import _cumlogit_nll_grad, _cumlogit_nll_grad_hess
+from shapegplm.baselines import _cumlogit_nll_grad_hess
 from shapegplm.errors import InvalidArgumentError, NonConvergenceError
 
 from test_baselines import cloud_bundle
@@ -233,8 +233,8 @@ def test_hessian_matches_differences_of_gradient(K, p):
     for j in range(len(theta)):
         e = np.zeros_like(theta)
         e[j] = step
-        diff[:, j] = (_cumlogit_nll_grad(theta + e, y - 1, x, K)[1]
-                      - _cumlogit_nll_grad(theta - e, y - 1, x, K)[1]) / (2 * step)
+        diff[:, j] = (_cumlogit_nll_grad_hess(theta + e, y - 1, x, K)[1]
+                      - _cumlogit_nll_grad_hess(theta - e, y - 1, x, K)[1]) / (2 * step)
     assert np.array_equal(hess, hess.T)
     assert np.abs(hess - diff).max() <= 1e-6 * np.abs(hess).max()
 
